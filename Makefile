@@ -4,8 +4,8 @@
 PY := PYTHONPATH=src python
 JOBS ?= 4
 
-.PHONY: test bench perf perf-quick perf-baseline smoke-sweep chaos \
-	topo serve golden-refresh clean-cache
+.PHONY: test bench perf perf-quick perf-baseline smoke-sweep campaigns \
+	golden-refresh clean-cache
 
 test:            ## tier-1 test suite
 	$(PY) -m pytest -x -q
@@ -30,14 +30,13 @@ perf-baseline:   ## deliberately refresh the committed BENCH_suite.json
 smoke-sweep:     ## quick parallel sweep: figure 7 with 2 workers
 	$(PY) -m repro figure7 --jobs 2
 
-chaos:           ## control-plane chaos campaign, gated on the SLO verdict
-	$(PY) -m repro chaos --compare --jobs $(JOBS)
+SIM_CAMPAIGNS := fault-tolerance chaos-campaign demand-topology
 
-topo:            ## demand-aware topology campaign, gated on its verdict
-	$(PY) -m repro topo --compare --jobs $(JOBS)
-
-serve:           ## live-service resilience campaign, gated on its verdict
-	$(PY) -m repro serve --compare
+campaigns:       ## every verdict campaign, each gated on its verdict
+	for c in $(SIM_CAMPAIGNS); do \
+		$(PY) -m repro campaign $$c --compare --jobs $(JOBS) || exit 1; \
+	done
+	$(PY) -m repro campaign service-resilience --compare
 
 golden-refresh:  ## deliberately regenerate tests/golden/*.json
 	$(PY) -m repro golden-refresh --no-cache

@@ -16,11 +16,12 @@ Usage::
     python -m repro obs export-trace --out trace.json
     python -m repro predictive                     # forecaster sweep
     python -m repro predict --forecaster ewma --oracle
-    python -m repro faults --compare               # fault campaign verdict
-    python -m repro chaos --compare                # control-plane chaos SLOs
-    python -m repro topo --compare                 # demand-aware topology verdict
-    python -m repro serve --compare                # live service resilience SLOs
-    python -m repro serve --single slow/resilient --trace-out svc.json
+    python -m repro campaign fault-tolerance --compare      # availability
+    python -m repro campaign chaos-campaign --compare       # failsafe SLOs
+    python -m repro campaign demand-topology --compare      # topology
+    python -m repro campaign service-resilience --compare   # service SLOs
+    python -m repro campaign service-resilience --single slow/resilient \
+        --trace-out svc.json
 
 Simulation-backed experiments honour ``--scale`` (equivalent to the
 ``REPRO_SCALE`` environment variable); analytic ones ignore it.  Their
@@ -31,6 +32,14 @@ spec content hash, so re-running a figure is near-instant; ``--no-cache``
 bypasses it.  A per-experiment ``[sweep: ...]`` line reports runs
 executed vs. cache hits and wall-clock; ``--stats-json`` writes the
 same counters machine-readably.
+
+The four verdict campaigns (:mod:`repro.experiments.campaign`) are
+seed-pinned, so they ignore ``--scale``.  ``repro <name>`` prints a
+campaign's table; ``repro campaign <name>`` also prints its verdict,
+takes the flags its declaration names (``--seed``, ``--fault-seed``,
+``--scenario``; for the service ``--single`` and its artifacts), gates
+the exit status on the verdict with ``--compare`` and writes the JSON
+verdict with ``--json-out``.
 
 Observability (:mod:`repro.obs`) surfaces through two hooks:
 ``--run-log PATH`` (or ``$REPRO_RUN_LOG``) appends one
@@ -52,14 +61,11 @@ from repro.experiments import (
     golden,
     sweep,
     asymmetry,
-    chaos,
-    demand_topology,
     dynamic_topology,
     energy_aware,
     lane_ladder,
     mixed_media,
     oversubscription,
-    fault_tolerance,
     figure1,
     figure5,
     figure6,
@@ -71,59 +77,84 @@ from repro.experiments import (
     routing_ablation,
     savings,
     sensors,
-    service_resilience,
     table1,
     table2,
     topology_comparison,
 )
+from repro.experiments.campaign import campaigns
 from repro.experiments.scale import SCALES, ExperimentScale, current_scale
 
-#: name -> (description, needs_scale, run callable)
+#: name -> (description, kind, run callable); kind is "analytic",
+#: "sim" (honours --scale) or "campaign" (seed-pinned, from the
+#: campaign registry)
 EXPERIMENTS: Dict[str, tuple] = {
-    "table1": ("FBFLY vs folded-Clos parts and power", False, table1.run),
-    "table2": ("InfiniBand data rates", False, table2.run),
-    "figure1": ("server vs network power scenarios", False, figure1.run),
-    "figure5": ("switch-chip dynamic range", False, figure5.run),
-    "figure6": ("ITRS bandwidth trend", False, figure6.run),
-    "figure7": ("time per link speed, paired vs independent", True,
+    "table1": ("FBFLY vs folded-Clos parts and power", "analytic",
+               table1.run),
+    "table2": ("InfiniBand data rates", "analytic", table2.run),
+    "figure1": ("server vs network power scenarios", "analytic",
+                figure1.run),
+    "figure5": ("switch-chip dynamic range", "analytic", figure5.run),
+    "figure6": ("ITRS bandwidth trend", "analytic", figure6.run),
+    "figure7": ("time per link speed, paired vs independent", "sim",
                 figure7.run),
-    "figure8": ("network power under rate scaling", True, figure8.run),
-    "figure9": ("latency sensitivity (target, reactivation)", True,
+    "figure8": ("network power under rate scaling", "sim", figure8.run),
+    "figure9": ("latency sensitivity (target, reactivation)", "sim",
                 figure9.run),
-    "asymmetry": ("per-direction channel load imbalance", True,
+    "asymmetry": ("per-direction channel load imbalance", "sim",
                   asymmetry.run),
-    "policies": ("Section 5.2 heuristic ablation", True, policies.run),
-    "dynamic-topology": ("Section 5.1 mesh/torus/FBFLY modes", True,
+    "policies": ("Section 5.2 heuristic ablation", "sim", policies.run),
+    "dynamic-topology": ("Section 5.1 mesh/torus/FBFLY modes", "sim",
                          dynamic_topology.run),
-    "topology-comparison": ("rate scaling on FBFLY vs fat tree", True,
+    "topology-comparison": ("rate scaling on FBFLY vs fat tree", "sim",
                             topology_comparison.run),
-    "energy-aware": ("energy-aware vs plain adaptive routing", True,
+    "energy-aware": ("energy-aware vs plain adaptive routing", "sim",
                      energy_aware.run),
-    "lane-ladder": ("scalar vs lane-aware rate ladders (§5.2)", True,
+    "lane-ladder": ("scalar vs lane-aware rate ladders (§5.2)", "sim",
                     lane_ladder.run),
-    "savings": ("simulated savings priced at the 32k-host scale", True,
+    "savings": ("simulated savings priced at the 32k-host scale", "sim",
                 savings.run),
-    "sensors": ("congestion-sensor ablation (§3.2)", True, sensors.run),
+    "sensors": ("congestion-sensor ablation (§3.2)", "sim", sensors.run),
     "routing-ablation": ("adaptive vs dimension-order routing under "
-                         "rate scaling", True, routing_ablation.run),
-    "mixed-media": ("copper vs optical packaging-aware pricing", True,
+                         "rate scaling", "sim", routing_ablation.run),
+    "mixed-media": ("copper vs optical packaging-aware pricing", "sim",
                     mixed_media.run),
     "oversubscription": ("§2.1.1 concentration sweep: W/host vs "
-                         "saturation", True, oversubscription.run),
+                         "saturation", "sim", oversubscription.run),
     "predictive": ("forecast-driven rate control vs reactive, with "
-                   "oracle/baseline regret", True, predictive.run),
-    "fault-tolerance": ("seeded fault campaign: gated vs pinned "
-                        "spanning-set availability", True,
-                        fault_tolerance.run),
-    "chaos-campaign": ("control-plane chaos sweep: failsafe SLOs vs "
-                       "unprotected degradation", True, chaos.run),
-    "demand-topology": ("demand-aware topology control vs static "
-                        "FBFLY/degraded under structured matrices",
-                        True, demand_topology.run),
-    "service-resilience": ("live control-plane service: resilient vs "
-                           "unprotected SLOs under stream chaos", False,
-                           service_resilience.run),
+                   "oracle/baseline regret", "sim", predictive.run),
+    **{name: (campaign.description, "campaign", campaign.run)
+       for name, campaign in campaigns().items()},
 }
+
+
+def add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    """The sweep-harness flags every simulating command takes."""
+    parser.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="sweep worker processes (default: $REPRO_JOBS or cpu count)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the persistent run cache (always simulate live)",
+    )
+    parser.add_argument(
+        "--cache-dir", type=Path, default=None, metavar="DIR",
+        help="persistent run-cache directory "
+             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=None, metavar="N",
+        help="in-process retry budget per failed sweep spec, with "
+             "seeded exponential backoff (default: $REPRO_RETRIES "
+             "or 1)",
+    )
+
+
+def configure_sweep(args: argparse.Namespace) -> None:
+    """Point the process-wide sweep runner at the parsed sweep flags."""
+    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
+                    cache_dir=args.cache_dir, run_log=args.run_log,
+                    retries=args.retries)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,30 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --output: also write each result's rows as "
              "<name>.json for downstream tooling",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes (default: $REPRO_JOBS or cpu count)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache (always simulate live)",
-    )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)",
-    )
+    add_sweep_flags(parser)
     parser.add_argument(
         "--run-log", type=Path, default=None, metavar="PATH",
         help="append one provenance-stamped JSONL run record per "
              "resolved spec (cache hits marked cached:true); inspect "
              "with 'python -m repro obs summarize PATH'",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec, with "
-             "seeded exponential backoff (default: $REPRO_RETRIES "
-             "or 1)",
     )
     parser.add_argument(
         "--stats-json", type=Path, default=None, metavar="PATH",
@@ -197,10 +210,11 @@ def run_experiment(name: str, scale: ExperimentScale,
     per experiment — name, scale, wall seconds and the sweep counters —
     is appended to it (the ``--stats-json`` payload).
     """
-    description, needs_scale, run = EXPERIMENTS[name]
+    description, kind, run = EXPERIMENTS[name]
+    scale_name = scale.name if kind == "sim" else None
     started = time.perf_counter()
     before = sweep.active_runner().stats.snapshot()
-    result = run(scale=scale) if needs_scale else run()
+    result = run(scale=scale) if kind == "sim" else run()
     sweep_delta = sweep.active_runner().stats.delta(before)
     text = result.format_table()
     elapsed = time.perf_counter() - started
@@ -210,7 +224,7 @@ def run_experiment(name: str, scale: ExperimentScale,
     if stats_sink is not None:
         stats_sink.append({
             "experiment": name,
-            "scale": scale.name if needs_scale else None,
+            "scale": scale_name,
             "seconds": round(elapsed, 3),
             "sweep": sweep_delta.to_dict(),
         })
@@ -222,7 +236,7 @@ def run_experiment(name: str, scale: ExperimentScale,
             payload = {
                 "experiment": name,
                 "description": description,
-                "scale": scale.name if needs_scale else None,
+                "scale": scale_name,
                 "seconds": round(elapsed, 3),
                 "rows": [[str(cell) for cell in row]
                          for row in result.rows()],
@@ -230,6 +244,35 @@ def run_experiment(name: str, scale: ExperimentScale,
             (output_dir / f"{name}.json").write_text(
                 json.dumps(payload, indent=2) + "\n")
     return block
+
+
+def add_spec_flags(parser: argparse.ArgumentParser) -> None:
+    """The one-simulation flags of ``obs export-trace`` and
+    ``perf profile``."""
+    parser.add_argument("--workload", default="search",
+                        choices=["uniform", "search", "advert", "bursty",
+                                 "skewed", "shifting", "diurnal"],
+                        help="workload to simulate (default: search)")
+    parser.add_argument("--k", type=int, default=4,
+                        help="FBFLY radix per dimension (default: 4)")
+    parser.add_argument("--n", type=int, default=3,
+                        help="FBFLY dimensions (default: 3)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="workload RNG seed (default: 1)")
+    parser.add_argument("--duration-ns", type=float, default=2_000_000.0,
+                        help="simulated duration in ns (default: 2e6)")
+    parser.add_argument("--control", default="epoch",
+                        choices=["epoch", "none", "always_slowest",
+                                 "predict", "oracle", "fault_gated",
+                                 "fault_pinned", "demand_topo",
+                                 "degraded_topo"],
+                        help="control mode (default: epoch)")
+    parser.add_argument("--faults", default=None, metavar="SCENARIO",
+                        help="named fault scenario to inject; fault and "
+                             "partition events are counted and traced "
+                             "(default: none)")
+    parser.add_argument("--fault-seed", type=int, default=0,
+                        help="fault-process RNG seed (default: 0)")
 
 
 def build_obs_parser() -> argparse.ArgumentParser:
@@ -257,30 +300,7 @@ def build_obs_parser() -> argparse.ArgumentParser:
              "trace (rate timelines, epoch marks, power samples)")
     p_tr.add_argument("--out", type=Path, required=True, metavar="PATH",
                       help="output trace JSON file")
-    p_tr.add_argument("--workload", default="search",
-                      choices=["uniform", "search", "advert", "bursty",
-                               "skewed", "shifting", "diurnal"],
-                      help="workload to simulate (default: search)")
-    p_tr.add_argument("--k", type=int, default=4,
-                      help="FBFLY radix per dimension (default: 4)")
-    p_tr.add_argument("--n", type=int, default=3,
-                      help="FBFLY dimensions (default: 3)")
-    p_tr.add_argument("--seed", type=int, default=1,
-                      help="workload RNG seed (default: 1)")
-    p_tr.add_argument("--duration-ns", type=float, default=2_000_000.0,
-                      help="simulated duration in ns (default: 2e6)")
-    p_tr.add_argument("--control", default="epoch",
-                      choices=["epoch", "none", "always_slowest",
-                               "predict", "oracle", "fault_gated",
-                               "fault_pinned", "demand_topo",
-                               "degraded_topo"],
-                      help="control mode (default: epoch)")
-    p_tr.add_argument("--faults", default=None, metavar="SCENARIO",
-                      help="named fault scenario to inject; fault and "
-                           "partition events render as instants on a "
-                           "dedicated trace track (default: none)")
-    p_tr.add_argument("--fault-seed", type=int, default=0,
-                      help="fault-process RNG seed (default: 0)")
+    add_spec_flags(p_tr)
     p_tr.add_argument("--policy", default="threshold",
                       help="rate policy for epoch control "
                            "(default: threshold)")
@@ -495,33 +515,18 @@ def build_predict_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scale", choices=sorted(SCALES), default=None,
         help="simulation scale (default: $REPRO_SCALE or 'small')")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
+    add_sweep_flags(parser)
     parser.add_argument(
         "--run-log", type=Path, default=None, metavar="PATH",
         help="append one provenance-stamped JSONL run record per "
              "resolved spec")
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec "
-             "(default: $REPRO_RETRIES or 1)")
     return parser
 
 
 def predict_main(argv) -> int:
     """Entry point for ``python -m repro predict ...``."""
     args = build_predict_parser().parse_args(argv)
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
+    configure_sweep(args)
     scale = SCALES[args.scale] if args.scale else current_scale()
     try:
         result = predictive.run(
@@ -540,334 +545,154 @@ def predict_main(argv) -> int:
     return 0
 
 
-def build_faults_parser() -> argparse.ArgumentParser:
-    """Construct the parser for the ``faults`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro faults",
-        description="Run the seeded fault campaign: baseline, "
-                    "unprotected gating and the pinned spanning set "
-                    "over one MTBF/MTTR fault process with corrupted "
-                    "sensors.",
-    )
+def _option_flags() -> Dict[str, dict]:
+    """Campaign option -> argparse keywords of its flag (the default
+    comes from the campaign's declaration)."""
     from repro.faults import registered_scenarios
-    parser.add_argument(
-        "--scenario", default="mtbf", choices=registered_scenarios(),
-        help="named fault scenario to inject (default: mtbf)")
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="gate the exit status on the availability verdict: the "
-             "pinned controller must sustain >= 99.9%% delivery with "
-             "zero partitions while unprotected gating observably "
-             "degrades")
-    parser.add_argument(
-        "--seed", type=int, default=1, help="workload RNG seed")
-    parser.add_argument(
-        "--fault-seed", type=int, default=1,
-        help="fault-process RNG seed (independent of the workload)")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    parser.add_argument(
-        "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one provenance-stamped JSONL run record per "
-             "resolved spec")
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec "
-             "(default: $REPRO_RETRIES or 1)")
-    return parser
+    return {
+        "seed": dict(type=int, help="workload RNG seed"),
+        "fault_seed": dict(type=int, help="fault-process RNG seed "
+                                          "(independent of the workload)"),
+        "scenario": dict(choices=registered_scenarios(),
+                         help="named fault scenario to inject"),
+    }
 
 
-def faults_main(argv) -> int:
-    """Entry point for ``python -m repro faults ...``."""
-    args = build_faults_parser().parse_args(argv)
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
-    before = sweep.active_runner().stats.snapshot()
-    try:
-        result = fault_tolerance.run(
-            scenario=args.scenario, seed=args.seed,
-            fault_seed=args.fault_seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sweep_delta = sweep.active_runner().stats.delta(before)
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-    if sweep_delta.submitted:
-        print(f"[sweep: {sweep_delta.format_line()}]")
-    if args.compare:
-        return 0 if (result.protected_ok
-                     and result.degraded_detected) else 1
-    return 0
-
-
-def build_chaos_parser() -> argparse.ArgumentParser:
-    """Construct the parser for the ``chaos`` subcommand."""
+def build_campaign_parser() -> argparse.ArgumentParser:
+    """Construct the parser for ``campaign``: one subcommand per
+    declared campaign, carrying only the flags that campaign uses."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Run the control-plane chaos campaign: a fault-free "
-                    "reference plus unprotected and failsafe arms across "
-                    "three chaos intensities (telemetry loss, lost "
-                    "actuations, controller crashes), with an SLO "
-                    "verdict against the reference.",
+        prog="python -m repro campaign",
+        description="Run one seed-pinned verdict campaign and print its "
+                    "table, SLOs and acceptance legs.",
     )
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="gate the exit status on the SLO verdict: every failsafe "
-             "arm must meet all three SLOs (zero partitions, bounded "
-             "latency inflation, bounded energy overshoot) while every "
-             "unprotected arm violates at least one")
-    parser.add_argument(
-        "--json-out", type=Path, default=None, metavar="PATH",
-        help="also write the machine-readable SLO verdict as JSON "
-             "(the CI artifact)")
-    parser.add_argument(
-        "--seed", type=int, default=chaos.CAMPAIGN_SEED,
-        help=f"workload RNG seed (default: {chaos.CAMPAIGN_SEED})")
-    parser.add_argument(
-        "--fault-seed", type=int, default=chaos.CAMPAIGN_FAULT_SEED,
-        help="control-fault RNG seed (default: "
-             f"{chaos.CAMPAIGN_FAULT_SEED})")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    parser.add_argument(
-        "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one provenance-stamped JSONL run record per "
-             "resolved spec")
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec "
-             "(default: $REPRO_RETRIES or 1)")
+    sub = parser.add_subparsers(dest="name", required=True,
+                                metavar="CAMPAIGN")
+    flags = _option_flags()
+    for name, campaign in campaigns().items():
+        p = sub.add_parser(name, help=campaign.description,
+                           description=campaign.description)
+        p.add_argument(
+            "--compare", action="store_true",
+            help="gate the exit status on the verdict: every acceptance "
+                 "leg must hold")
+        p.add_argument(
+            "--json-out", type=Path, default=None, metavar="PATH",
+            help="also write the machine-readable verdict as JSON "
+                 "(the CI artifact)")
+        p.add_argument(
+            "--run-log", type=Path, default=None, metavar="PATH",
+            help="append one run record per arm (readable by "
+                 "'repro obs summarize')")
+        for option, default in campaign.options.items():
+            kwargs = dict(flags[option])
+            kwargs["help"] += f" (default: {default})"
+            p.add_argument("--" + option.replace("_", "-"),
+                           default=default, **kwargs)
+        if campaign.service:
+            p.add_argument(
+                "--single", default=None, metavar="ARM",
+                help="run one arm instead of the campaign, one of: "
+                     + ", ".join(campaign.build()))
+            p.add_argument(
+                "--epochs", type=int, default=None, metavar="N",
+                help="with --single: override the arm's epoch count")
+            p.add_argument(
+                "--metrics-out", type=Path, default=None, metavar="PATH",
+                help="with --single: write the Prometheus-flavoured "
+                     "metrics dump")
+            p.add_argument(
+                "--trace-out", type=Path, default=None, metavar="PATH",
+                help="with --single: write a Perfetto-loadable Chrome "
+                     "trace of the service timeline")
+        else:
+            add_sweep_flags(p)
     return parser
 
 
-def chaos_main(argv) -> int:
-    """Entry point for ``python -m repro chaos ...``."""
-    args = build_chaos_parser().parse_args(argv)
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
-    before = sweep.active_runner().stats.snapshot()
-    try:
-        result = chaos.run(seed=args.seed, fault_seed=args.fault_seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sweep_delta = sweep.active_runner().stats.delta(before)
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-    if sweep_delta.submitted:
-        print(f"[sweep: {sweep_delta.format_line()}]")
-    if args.json_out is not None:
-        args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        args.json_out.write_text(
-            json.dumps(result.verdict_dict(), indent=2, sort_keys=True)
-            + "\n")
-        print(f"wrote {args.json_out}")
-    if args.compare:
-        return 0 if result.ok else 1
-    return 0
+def _campaign_single(campaign, args: argparse.Namespace) -> int:
+    """Run one service arm and write its requested artifacts."""
+    import dataclasses
 
-
-def build_topo_parser() -> argparse.ArgumentParser:
-    """Construct the parser for the ``topo`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro topo",
-        description="Run the demand-aware topology campaign: static "
-                    "FBFLY, static degraded (express links off) and "
-                    "demand-aware topology control across skewed, "
-                    "shifting and diurnal traffic matrices, with an "
-                    "energy/latency/safety verdict per matrix.",
-    )
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="gate the exit status on the verdict: the demand-aware "
-             "arm must beat static FBFLY on energy at bounded latency "
-             "cost on every gated matrix, with zero partitions and "
-             "zero connectivity-guard violations across all arms")
-    parser.add_argument(
-        "--json-out", type=Path, default=None, metavar="PATH",
-        help="also write the machine-readable verdict as JSON "
-             "(the CI artifact)")
-    parser.add_argument(
-        "--seed", type=int, default=demand_topology.CAMPAIGN_SEED,
-        help=f"workload RNG seed (default: "
-             f"{demand_topology.CAMPAIGN_SEED})")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent run-cache directory "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    parser.add_argument(
-        "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one provenance-stamped JSONL run record per "
-             "resolved spec")
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="in-process retry budget per failed sweep spec "
-             "(default: $REPRO_RETRIES or 1)")
-    return parser
-
-
-def topo_main(argv) -> int:
-    """Entry point for ``python -m repro topo ...``."""
-    args = build_topo_parser().parse_args(argv)
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
-    before = sweep.active_runner().stats.snapshot()
-    try:
-        result = demand_topology.run(seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sweep_delta = sweep.active_runner().stats.delta(before)
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-    if sweep_delta.submitted:
-        print(f"[sweep: {sweep_delta.format_line()}]")
-    if args.json_out is not None:
-        args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        args.json_out.write_text(
-            json.dumps(result.verdict_dict(), indent=2, sort_keys=True)
-            + "\n")
-        print(f"wrote {args.json_out}")
-    if args.compare:
-        return 0 if result.ok else 1
-    return 0
-
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    """Construct the parser for the ``serve`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Run the live control-plane service over an "
-                    "accelerated diurnal trace.  Default: the "
-                    "resilience campaign (fault-free reference plus "
-                    "resilient and unprotected arms under telemetry "
-                    "dropout, actuation loss, controller crash and a "
-                    "slow consumer) with an SLO verdict; --single "
-                    "runs one arm and can export its run record, "
-                    "metrics dump and Perfetto trace.",
-    )
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="gate the exit status on the SLO verdict: every "
-             "resilient arm must meet all three SLOs (zero "
-             "partitions, bounded p99 decision latency, a "
-             "decisions/sec floor) while every unprotected arm "
-             "violates at least one")
-    parser.add_argument(
-        "--json-out", type=Path, default=None, metavar="PATH",
-        help="write the machine-readable SLO verdict as JSON "
-             "(the CI artifact)")
-    parser.add_argument(
-        "--single", default=None, metavar="ARM",
-        help="run one arm instead of the campaign: 'reference' or "
-             "'<scenario>/<resilient|unprotected>' with scenario in "
-             "dropout/loss/crash/slow")
-    parser.add_argument(
-        "--epochs", type=int, default=None, metavar="N",
-        help="override the --single arm's epoch count")
-    parser.add_argument(
-        "--run-log", type=Path, default=None, metavar="PATH",
-        help="append one service run record per arm (readable by "
-             "'repro obs summarize')")
-    parser.add_argument(
-        "--metrics-out", type=Path, default=None, metavar="PATH",
-        help="with --single: write the Prometheus-flavoured metrics "
-             "dump")
-    parser.add_argument(
-        "--trace-out", type=Path, default=None, metavar="PATH",
-        help="with --single: write a Perfetto-loadable Chrome trace "
-             "of the service timeline")
-    return parser
-
-
-def serve_main(argv) -> int:
-    """Entry point for ``python -m repro serve ...``."""
-    import dataclasses as _dc
-
-    from repro.experiments import service_resilience as sr
     from repro.obs.decisions import DecisionLog
     from repro.obs.runrecord import RunRecordWriter
     from repro.service.service import ControlPlaneService
 
-    args = build_serve_parser().parse_args(argv)
-    writer = (RunRecordWriter(args.run_log)
-              if args.run_log is not None else None)
+    arms = campaign.build()
+    if args.single not in arms:
+        print(f"error: unknown arm {args.single!r}; one of "
+              f"{', '.join(sorted(arms))}", file=sys.stderr)
+        return 1
+    config, scenario, slow = arms[args.single]
+    if args.epochs is not None:
+        config = dataclasses.replace(config, epochs=args.epochs)
+    want_trace = args.trace_out is not None
+    service = ControlPlaneService(
+        config, scenario=scenario, slow=slow,
+        decision_log=DecisionLog(max_records=None) if want_trace else None,
+        capture_events=want_trace)
+    summary = service.run()
+    print(f"{args.single}: {summary.format_line()}")
+    if args.run_log is not None:
+        RunRecordWriter(args.run_log).record_service(
+            args.single, config, summary)
+        print(f"appended run record to {args.run_log}")
+    if args.metrics_out is not None:
+        args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
+        args.metrics_out.write_text(service.metrics.format_text())
+        print(f"wrote {args.metrics_out}")
+    if want_trace:
+        from repro.obs.trace_export import export_service_trace
+        trace = export_service_trace(
+            service, args.trace_out,
+            label=f"repro campaign {campaign.name} --single {args.single}")
+        meta = trace["otherData"]
+        print(f"wrote {args.trace_out}: "
+              f"{len(trace['traceEvents'])} events, "
+              f"{meta['groups']} group tracks, "
+              f"{meta['service_events']} service events")
+    return 0
 
-    if args.single is not None:
-        arms = sr.build_arms()
-        if args.single not in arms:
-            print(f"error: unknown arm {args.single!r}; one of "
-                  f"{', '.join(sorted(arms))}", file=sys.stderr)
-            return 1
-        config, scenario, slow = arms[args.single]
-        if args.epochs is not None:
-            config = _dc.replace(config, epochs=args.epochs)
-        want_trace = args.trace_out is not None
-        service = ControlPlaneService(
-            config, scenario=scenario, slow=slow,
-            decision_log=DecisionLog(max_records=None)
-            if want_trace else None,
-            capture_events=want_trace)
-        summary = service.run()
-        print(f"{args.single}: {summary.format_line()}")
-        if writer is not None:
-            writer.record_service(args.single, config, summary)
-            print(f"appended run record to {args.run_log}")
-        if args.metrics_out is not None:
-            args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
-            args.metrics_out.write_text(service.metrics.format_text())
-            print(f"wrote {args.metrics_out}")
-        if want_trace:
-            from repro.obs.trace_export import export_service_trace
-            trace = export_service_trace(
-                service, args.trace_out,
-                label=f"repro serve {args.single}")
-            meta = trace["otherData"]
-            print(f"wrote {args.trace_out}: "
-                  f"{len(trace['traceEvents'])} events, "
-                  f"{meta['groups']} group tracks, "
-                  f"{meta['service_events']} service events")
-        return 0
 
-    result = sr.run()
+def campaign_main(argv) -> int:
+    """Entry point for ``python -m repro campaign <name> ...``."""
+    parser = build_campaign_parser()
+    args = parser.parse_args(argv)
+    campaign = campaigns()[args.name]
+    if campaign.service:
+        single_only = [flag for flag, value in (
+            ("--epochs", args.epochs), ("--metrics-out", args.metrics_out),
+            ("--trace-out", args.trace_out)) if value is not None]
+        whole_only = [flag for flag, value in (
+            ("--compare", args.compare), ("--json-out", args.json_out))
+            if value]
+        if args.single is None and single_only:
+            parser.error(f"{', '.join(single_only)} requires --single")
+        if args.single is not None and whole_only:
+            parser.error(f"{', '.join(whole_only)} judges the whole "
+                         "campaign and cannot be used with --single")
+        if args.single is not None:
+            return _campaign_single(campaign, args)
+    else:
+        configure_sweep(args)
+    before = sweep.active_runner().stats.snapshot()
+    try:
+        result = campaign.run(**{option: getattr(args, option)
+                                 for option in campaign.options})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    sweep_delta = sweep.active_runner().stats.delta(before)
     print(result.format_table())
     print()
     for line in result.verdict_lines():
         print(line)
-    if writer is not None:
-        for label, (config, _, _) in sr.build_arms().items():
+    if sweep_delta.submitted:
+        print(f"[sweep: {sweep_delta.format_line()}]")
+    if campaign.service and args.run_log is not None:
+        from repro.obs.runrecord import RunRecordWriter
+        writer = RunRecordWriter(args.run_log)
+        for label, (config, _, _) in result.arms.items():
             writer.record_service(label, config, result.by_label[label])
         print(f"appended {writer.records_written} run records to "
               f"{args.run_log}")
@@ -877,9 +702,7 @@ def serve_main(argv) -> int:
             json.dumps(result.verdict_dict(), indent=2, sort_keys=True)
             + "\n")
         print(f"wrote {args.json_out}")
-    if args.compare:
-        return 0 if result.ok else 1
-    return 0
+    return 1 if args.compare and not result.ok else 0
 
 
 def obs_main(argv) -> int:
@@ -913,29 +736,7 @@ def build_perf_parser() -> argparse.ArgumentParser:
         "profile",
         help="simulate one spec with the wall-clock profiler attached "
              "and print the per-phase time breakdown")
-    p_prof.add_argument("--workload", default="search",
-                        choices=["uniform", "search", "advert", "bursty",
-                                 "skewed", "shifting", "diurnal"],
-                        help="workload to simulate (default: search)")
-    p_prof.add_argument("--k", type=int, default=4,
-                        help="FBFLY radix per dimension (default: 4)")
-    p_prof.add_argument("--n", type=int, default=3,
-                        help="FBFLY dimensions (default: 3)")
-    p_prof.add_argument("--seed", type=int, default=1,
-                        help="workload RNG seed (default: 1)")
-    p_prof.add_argument("--duration-ns", type=float, default=2_000_000.0,
-                        help="simulated duration in ns (default: 2e6)")
-    p_prof.add_argument("--control", default="epoch",
-                        choices=["epoch", "none", "always_slowest",
-                                 "predict", "oracle", "fault_gated",
-                                 "fault_pinned", "demand_topo",
-                                 "degraded_topo"],
-                        help="control mode (default: epoch)")
-    p_prof.add_argument("--faults", default=None, metavar="SCENARIO",
-                        help="named fault scenario to inject "
-                             "(default: none)")
-    p_prof.add_argument("--fault-seed", type=int, default=0,
-                        help="fault-process RNG seed (default: 0)")
+    add_spec_flags(p_prof)
     p_prof.add_argument("--json", type=Path, default=None, metavar="PATH",
                         help="also write the machine-readable perf "
                              "report as JSON")
@@ -1100,25 +901,13 @@ def main(argv=None) -> int:
     """CLI entry point: run the experiment and print its table."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "obs":
-        return obs_main(list(argv[1:]))
-    if argv and argv[0] == "perf":
-        return perf_main(list(argv[1:]))
-    if argv and argv[0] == "predict":
-        return predict_main(list(argv[1:]))
-    if argv and argv[0] == "faults":
-        return faults_main(list(argv[1:]))
-    if argv and argv[0] == "chaos":
-        return chaos_main(list(argv[1:]))
-    if argv and argv[0] == "topo":
-        return topo_main(list(argv[1:]))
-    if argv and argv[0] == "serve":
-        return serve_main(list(argv[1:]))
+    subcommands = {"obs": obs_main, "perf": perf_main,
+                   "predict": predict_main, "campaign": campaign_main}
+    if argv and argv[0] in subcommands:
+        return subcommands[argv[0]](list(argv[1:]))
     args = build_parser().parse_args(argv)
 
-    sweep.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                    cache_dir=args.cache_dir, run_log=args.run_log,
-                    retries=args.retries)
+    configure_sweep(args)
 
     if args.experiment == "golden-refresh":
         target = args.output or golden.default_golden_dir()
@@ -1128,8 +917,7 @@ def main(argv=None) -> int:
 
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
-            description, needs_scale, _ = EXPERIMENTS[name]
-            kind = "sim" if needs_scale else "analytic"
+            description, kind, _ = EXPERIMENTS[name]
             print(f"{name:22s} [{kind:8s}] {description}")
         return 0
 

@@ -35,6 +35,11 @@ Simulation-backed experiments accept an :class:`ExperimentScale`
 | savings | simulated power priced at the 32k-host scale |
 | predictive | forecast-driven rate control vs the clairvoyant oracle |
 
+The four verdict campaigns — ``fault_tolerance``, ``chaos``,
+``demand_topology`` and ``service_resilience`` — instead declare one
+:class:`~repro.experiments.campaign.Campaign` each; ``campaign`` runs
+them (``python -m repro campaign <name>``).
+
 Infrastructure modules: ``runner`` (the shared :class:`SimulationSpec`
 -> summary executor), ``sweep`` (parallel batch execution with worker
 processes and dedup), ``cache`` (the persistent content-hash run cache

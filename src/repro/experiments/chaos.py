@@ -44,12 +44,11 @@ process, not a scaling trend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.experiments.report import format_table, pct, us
-from repro.experiments.runner import SimulationSpec, SimulationSummary
-from repro.experiments.sweep import sweep
+from repro.experiments.campaign import Campaign, Leg, Metric, Slo
+from repro.experiments.report import pct, us
+from repro.experiments.runner import SimulationSpec
 
 #: SLO: partitions recorded by the BFS detector must be exactly zero.
 SLO_MAX_PARTITIONS = 0
@@ -87,210 +86,6 @@ def arm_label(intensity: str, failsafe: bool) -> str:
     return f"{intensity}/{'failsafe' if failsafe else 'unprotected'}"
 
 
-@dataclass
-class ArmVerdict:
-    """One arm's SLO measurements and pass/fail flags."""
-
-    label: str
-    partitions: int
-    latency_factor: float
-    power_delta: float
-    delivered_fraction: float
-
-    @property
-    def partitions_ok(self) -> bool:
-        """SLO leg 1: the chaos never disconnected the fabric."""
-        return self.partitions <= SLO_MAX_PARTITIONS
-
-    @property
-    def latency_ok(self) -> bool:
-        """SLO leg 2: latency inflation vs the reference is bounded."""
-        return self.latency_factor <= SLO_MAX_LATENCY_FACTOR
-
-    @property
-    def power_ok(self) -> bool:
-        """SLO leg 3: energy overshoot vs the reference is bounded."""
-        return self.power_delta <= SLO_MAX_POWER_DELTA
-
-    @property
-    def all_ok(self) -> bool:
-        """All three SLOs met."""
-        return self.partitions_ok and self.latency_ok and self.power_ok
-
-    def violations(self) -> List[str]:
-        """Names of the SLOs this arm violates."""
-        out = []
-        if not self.partitions_ok:
-            out.append("partitions")
-        if not self.latency_ok:
-            out.append("latency")
-        if not self.power_ok:
-            out.append("power")
-        return out
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe verdict record (the CI artifact rows)."""
-        return {
-            "label": self.label,
-            "partitions": self.partitions,
-            "latency_factor": round(self.latency_factor, 4),
-            "power_delta": round(self.power_delta, 4),
-            "delivered_fraction": round(self.delivered_fraction, 4),
-            "slo_ok": self.all_ok,
-            "violations": self.violations(),
-        }
-
-
-@dataclass
-class ChaosCampaignResult:
-    """The campaign's seven runs plus the per-arm SLO verdicts."""
-
-    by_label: Dict[str, SimulationSummary]
-
-    # -- verdict ---------------------------------------------------------
-
-    @property
-    def reference(self) -> SimulationSummary:
-        """The fault-free run every SLO is measured against."""
-        return self.by_label[REFERENCE]
-
-    def verdict(self, label: str) -> ArmVerdict:
-        """SLO measurements for one chaos arm, against the reference."""
-        summary = self.by_label[label]
-        ref = self.reference
-        faults = summary.faults or {}
-        return ArmVerdict(
-            label=label,
-            partitions=faults.get("partitions", 0),
-            latency_factor=(summary.mean_packet_latency_ns
-                            / ref.mean_packet_latency_ns),
-            power_delta=(summary.measured_power_fraction
-                         - ref.measured_power_fraction),
-            delivered_fraction=summary.delivered_fraction,
-        )
-
-    def arm_verdicts(self) -> List[ArmVerdict]:
-        """Verdicts for every chaos arm, report order."""
-        return [self.verdict(arm_label(intensity, failsafe))
-                for intensity in INTENSITIES
-                for failsafe in (False, True)]
-
-    @property
-    def failsafe_ok(self) -> bool:
-        """Every failsafe arm meets all three SLOs."""
-        return all(self.verdict(arm_label(i, True)).all_ok
-                   for i in INTENSITIES)
-
-    @property
-    def unprotected_degraded(self) -> bool:
-        """Every unprotected arm violates at least one SLO (the chaos
-        has teeth — passing SLOs without the guard would make the
-        failsafe verdict vacuous)."""
-        return all(not self.verdict(arm_label(i, False)).all_ok
-                   for i in INTENSITIES)
-
-    @property
-    def ok(self) -> bool:
-        """The campaign's exit-status verdict."""
-        return self.failsafe_ok and self.unprotected_degraded
-
-    # -- reporting -------------------------------------------------------
-
-    def rows(self) -> List[List[object]]:
-        """The result's data rows, matching ``format_table`` columns."""
-        ref = self.reference
-        rows = [[
-            REFERENCE, "-", us(ref.mean_packet_latency_ns), "1.00x",
-            pct(ref.measured_power_fraction), "-",
-            pct(ref.delivered_fraction, digits=3), 0, "-", "-",
-        ]]
-        for intensity in INTENSITIES:
-            for failsafe in (False, True):
-                label = arm_label(intensity, failsafe)
-                summary = self.by_label[label]
-                v = self.verdict(label)
-                cp = summary.control_plane or {}
-                rows.append([
-                    label,
-                    cp.get("scenario", "-"),
-                    us(summary.mean_packet_latency_ns),
-                    f"{v.latency_factor:.2f}x",
-                    pct(summary.measured_power_fraction),
-                    f"{v.power_delta:+.3f}",
-                    pct(v.delivered_fraction, digits=3),
-                    v.partitions,
-                    f"{cp.get('telemetry_lost', 0)}/"
-                    f"{cp.get('actuations_lost', 0)}",
-                    ("PASS" if v.all_ok
-                     else "viol:" + ",".join(v.violations())),
-                ])
-        return rows
-
-    def format_table(self) -> str:
-        """Render the result as an aligned text table."""
-        return format_table(
-            ["Arm", "Chaos", "Mean lat", "vs ref", "Power", "dPower",
-             "Delivered", "Partitions", "Lost tel/act", "SLO"],
-            self.rows(),
-            title=f"Control-plane chaos: k={CAMPAIGN_K} FBFLY, uniform "
-                  f"{pct(CAMPAIGN_LOAD, digits=0)} load, "
-                  f"{CAMPAIGN_CONTROL} control — failsafe vs "
-                  f"unprotected across chaos intensity",
-        )
-
-    def verdict_lines(self) -> List[str]:
-        """Human-readable pass/fail lines for the two acceptance legs."""
-        lines = [
-            f"SLOs vs fault-free reference: partitions == "
-            f"{SLO_MAX_PARTITIONS}, mean latency <= "
-            f"{SLO_MAX_LATENCY_FACTOR}x, power delta <= "
-            f"+{SLO_MAX_POWER_DELTA}",
-        ]
-        fs = [self.verdict(arm_label(i, True)) for i in INTENSITIES]
-        un = [self.verdict(arm_label(i, False)) for i in INTENSITIES]
-        worst_lat = max(v.latency_factor for v in fs)
-        worst_pwr = max(v.power_delta for v in fs)
-        lines.append(
-            f"failsafe: worst latency {worst_lat:.2f}x, worst power "
-            f"{worst_pwr:+.3f}, partitions "
-            f"{max(v.partitions for v in fs)} — "
-            + ("all SLOs met at every intensity" if self.failsafe_ok
-               else "SLO VIOLATED: " + "; ".join(
-                   f"{v.label} -> {','.join(v.violations())}"
-                   for v in fs if not v.all_ok)))
-        lines.append(
-            f"unprotected: latency "
-            + ", ".join(f"{v.latency_factor:.2f}x" for v in un)
-            + ", delivered "
-            + ", ".join(pct(v.delivered_fraction, 0) for v in un)
-            + " — "
-            + ("every intensity violates an SLO (chaos has teeth)"
-               if self.unprotected_degraded
-               else "an unprotected arm met all SLOs "
-                    "(campaign too gentle)"))
-        return lines
-
-    def verdict_dict(self) -> Dict[str, object]:
-        """The JSON verdict artifact (CI uploads this)."""
-        return {
-            "slo": {
-                "max_partitions": SLO_MAX_PARTITIONS,
-                "max_latency_factor": SLO_MAX_LATENCY_FACTOR,
-                "max_power_delta": SLO_MAX_POWER_DELTA,
-            },
-            "reference": {
-                "mean_packet_latency_ns": round(
-                    self.reference.mean_packet_latency_ns, 2),
-                "measured_power_fraction": round(
-                    self.reference.measured_power_fraction, 4),
-            },
-            "arms": [v.to_dict() for v in self.arm_verdicts()],
-            "failsafe_ok": self.failsafe_ok,
-            "unprotected_degraded": self.unprotected_degraded,
-            "ok": self.ok,
-        }
-
-
 def build_specs(seed: int = CAMPAIGN_SEED,
                 fault_seed: int = CAMPAIGN_FAULT_SEED,
                 ) -> Dict[str, SimulationSpec]:
@@ -312,29 +107,80 @@ def build_specs(seed: int = CAMPAIGN_SEED,
     return specs
 
 
-def run(scale=None, seed: int = CAMPAIGN_SEED,
-        fault_seed: int = CAMPAIGN_FAULT_SEED) -> ChaosCampaignResult:
-    """Run the campaign and return its result object.
-
-    ``scale`` is accepted for CLI uniformity but ignored: the campaign
-    fabric and seeds are pinned so the verdict is deterministic.
-    """
-    del scale
-    specs = build_specs(seed=seed, fault_seed=fault_seed)
-    results = sweep(list(specs.values()))
-    return ChaosCampaignResult(
-        by_label={label: results[spec] for label, spec in specs.items()},
-    )
+#: Arms per guard setting, report order.
+FAILSAFE_ARMS = tuple(arm_label(i, True) for i in INTENSITIES)
+UNPROTECTED_ARMS = tuple(arm_label(i, False) for i in INTENSITIES)
+CHAOS_ARMS = UNPROTECTED_ARMS + FAILSAFE_ARMS
 
 
-def main() -> None:
-    """CLI entry point: run the campaign and print table + verdict."""
-    result = run()
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
+def _cp(verdict) -> Dict:
+    return verdict.run.control_plane or {}
 
 
-if __name__ == "__main__":
-    main()
+CAMPAIGN = Campaign(
+    name="chaos-campaign",
+    description="control-plane chaos sweep: failsafe SLOs vs "
+                "unprotected degradation",
+    golden_name="chaos",
+    build=build_specs,
+    options={"seed": CAMPAIGN_SEED, "fault_seed": CAMPAIGN_FAULT_SEED},
+    reference=lambda label: REFERENCE,
+    metrics=(
+        Metric("partitions",
+               lambda a: (a.run.faults or {}).get("partitions", 0)),
+        Metric("latency_factor",
+               lambda a: (a.run.mean_packet_latency_ns
+                          / a.ref.mean_packet_latency_ns), 4),
+        Metric("power_delta",
+               lambda a: (a.run.measured_power_fraction
+                          - a.ref.measured_power_fraction), 4),
+        Metric("delivered_fraction", lambda a: a.run.delivered_fraction,
+               4),
+    ),
+    slos=(
+        Slo("partitions", "partitions", "<=", SLO_MAX_PARTITIONS,
+            CHAOS_ARMS),
+        Slo("latency", "latency_factor", "<=", SLO_MAX_LATENCY_FACTOR,
+            CHAOS_ARMS),
+        Slo("power", "power_delta", "<=", SLO_MAX_POWER_DELTA,
+            CHAOS_ARMS),
+    ),
+    legs=(
+        Leg("failsafe_ok", FAILSAFE_ARMS, passes=True,
+            held="all SLOs met at every intensity"),
+        Leg("unprotected_degraded", UNPROTECTED_ARMS, passes=False,
+            held="every intensity violates an SLO (chaos has teeth)"),
+    ),
+    header=lambda result: {
+        "slo": {
+            "max_partitions": SLO_MAX_PARTITIONS,
+            "max_latency_factor": SLO_MAX_LATENCY_FACTOR,
+            "max_power_delta": SLO_MAX_POWER_DELTA,
+        },
+        "reference": {
+            "mean_packet_latency_ns": round(
+                result.by_label[REFERENCE].mean_packet_latency_ns, 2),
+            "measured_power_fraction": round(
+                result.by_label[REFERENCE].measured_power_fraction, 4),
+        },
+    },
+    title=f"Control-plane chaos: k={CAMPAIGN_K} FBFLY, uniform "
+          f"{pct(CAMPAIGN_LOAD, digits=0)} load, {CAMPAIGN_CONTROL} "
+          f"control — failsafe vs unprotected across chaos intensity",
+    table=(
+        ("Arm", lambda v: v.label),
+        ("Chaos", lambda v: _cp(v).get("scenario", "-")),
+        ("Mean lat", lambda v: us(v.run.mean_packet_latency_ns)),
+        ("vs ref", lambda v: f"{v.metrics['latency_factor']:.2f}x"),
+        ("Power", lambda v: pct(v.run.measured_power_fraction)),
+        ("dPower", lambda v: ("-" if v.label == REFERENCE
+                              else f"{v.metrics['power_delta']:+.3f}")),
+        ("Delivered", lambda v: pct(v.run.delivered_fraction, digits=3)),
+        ("Partitions", lambda v: v.metrics["partitions"]),
+        ("Lost tel/act", lambda v: (
+            "-" if v.label == REFERENCE
+            else f"{_cp(v).get('telemetry_lost', 0)}/"
+                 f"{_cp(v).get('actuations_lost', 0)}")),
+        ("SLO", lambda v: v.cell()),
+    ),
+)

@@ -31,16 +31,11 @@ process, not a scaling trend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.experiments.report import format_table, pct, us
-from repro.experiments.runner import (
-    CONTROL_EPOCH,
-    SimulationSpec,
-    SimulationSummary,
-)
-from repro.experiments.sweep import sweep
+from repro.experiments.campaign import Campaign, Leg, Metric, Slo
+from repro.experiments.report import pct, us
+from repro.experiments.runner import CONTROL_EPOCH, SimulationSpec
 
 #: Delivery floor the protected controller must sustain.
 DELIVERY_FLOOR = 0.999
@@ -58,80 +53,6 @@ CONTROLLERS: Tuple[Tuple[str, str, Optional[str]], ...] = (
     ("gated", "fault_gated", "mtbf"),
     ("pinned", "fault_pinned", "mtbf"),
 )
-
-
-@dataclass
-class FaultToleranceResult:
-    """The campaign's three runs plus the availability verdict."""
-
-    scenario: str
-    by_label: Dict[str, SimulationSummary]
-
-    def _faults(self, label: str) -> Dict:
-        return self.by_label[label].faults or {}
-
-    @property
-    def protected_ok(self) -> bool:
-        """Did the pinned controller sustain the availability floor?"""
-        pinned = self.by_label["pinned"]
-        return (pinned.delivered_fraction >= DELIVERY_FLOOR
-                and self._faults("pinned").get("partitions", 0) == 0)
-
-    @property
-    def degraded_detected(self) -> bool:
-        """Did the unprotected controller observably degrade?"""
-        gated = self._faults("gated")
-        return (gated.get("partitions", 0) >= 1
-                or gated.get("drop_bursts", 0) >= 1)
-
-    def rows(self) -> List[List[object]]:
-        """The result's data rows, matching ``format_table``'s columns."""
-        rows = []
-        for label, summary in self.by_label.items():
-            faults = summary.faults or {}
-            rows.append([
-                label,
-                pct(summary.delivered_fraction, digits=3),
-                faults.get("dropped_packets", 0),
-                faults.get("drop_bursts", 0),
-                faults.get("partitions", 0),
-                faults.get("faults_applied", 0),
-                faults.get("gated_offs", "-"),
-                faults.get("pinned_holds", "-"),
-                pct(summary.measured_power_fraction),
-                us(summary.mean_message_latency_ns),
-            ])
-        return rows
-
-    def format_table(self) -> str:
-        """Render the result as an aligned text table."""
-        return format_table(
-            ["Controller", "Delivered", "Drops", "Bursts", "Partitions",
-             "Faults", "Gated off", "Pin holds", "Power", "Mean lat"],
-            self.rows(),
-            title=f"Fault campaign ({self.scenario}): k={CAMPAIGN_K} "
-                  f"FBFLY, uniform {pct(CAMPAIGN_LOAD, digits=0)} load "
-                  f"— availability under faults + stuck sensors",
-        )
-
-    def verdict_lines(self) -> List[str]:
-        """Human-readable pass/fail lines for the two acceptance legs."""
-        lines = []
-        pinned = self.by_label["pinned"]
-        gated = self._faults("gated")
-        lines.append(
-            f"pinned spanning set: {pct(pinned.delivered_fraction, 3)} "
-            f"delivered, {self._faults('pinned').get('partitions', 0)} "
-            f"partition(s) — "
-            + ("OK (>= 99.9%, zero partitions)" if self.protected_ok
-               else "FAILED the availability floor"))
-        lines.append(
-            f"unprotected gating: {gated.get('partitions', 0)} "
-            f"partition(s), {gated.get('drop_bursts', 0)} drop "
-            f"burst(s) — "
-            + ("degradation detected" if self.degraded_detected
-               else "no observable degradation (campaign too gentle)"))
-        return lines
 
 
 def build_specs(scenario: str = "mtbf", seed: int = 1,
@@ -152,31 +73,53 @@ def build_specs(scenario: str = "mtbf", seed: int = 1,
     return specs
 
 
-def run(scale=None, scenario: str = "mtbf", seed: int = 1,
-        fault_seed: int = 1) -> FaultToleranceResult:
-    """Run the campaign and return its result object.
-
-    ``scale`` is accepted for CLI uniformity but ignored: the campaign
-    fabric and seeds are pinned so the verdict is deterministic.
-    """
-    del scale
-    specs = build_specs(scenario=scenario, seed=seed,
-                        fault_seed=fault_seed)
-    results = sweep(list(specs.values()))
-    return FaultToleranceResult(
-        scenario=scenario,
-        by_label={label: results[spec] for label, spec in specs.items()},
-    )
+def _faults(summary) -> Dict:
+    return summary.faults or {}
 
 
-def main() -> None:
-    """CLI entry point: run the campaign and print table + verdict."""
-    result = run()
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-
-
-if __name__ == "__main__":
-    main()
+CAMPAIGN = Campaign(
+    name="fault-tolerance",
+    description="seeded fault campaign: gated vs pinned spanning-set "
+                "availability",
+    golden_name="faults",
+    build=build_specs,
+    options={"scenario": "mtbf", "seed": 1, "fault_seed": 1},
+    metrics=(
+        Metric("delivered_fraction", lambda a: a.run.delivered_fraction,
+               4),
+        Metric("partitions",
+               lambda a: _faults(a.run).get("partitions", 0)),
+        Metric("drop_bursts",
+               lambda a: _faults(a.run).get("drop_bursts", 0)),
+    ),
+    slos=(
+        Slo("delivery", "delivered_fraction", ">=", DELIVERY_FLOOR,
+            ("pinned",)),
+        Slo("partitions", "partitions", "<=", 0, ("gated", "pinned")),
+        Slo("drop_bursts", "drop_bursts", "<=", 0, ("gated",)),
+    ),
+    legs=(
+        Leg("protected_ok", ("pinned",), passes=True,
+            held="the pinned spanning set holds >= 99.9% delivery with "
+                 "zero partitions"),
+        Leg("degraded_detected", ("gated",), passes=False,
+            held="unprotected gating observably degrades"),
+    ),
+    title=f"Fault campaign ({{scenario}}): k={CAMPAIGN_K} FBFLY, uniform "
+          f"{pct(CAMPAIGN_LOAD, digits=0)} load — availability under "
+          f"faults + stuck sensors",
+    table=(
+        ("Controller", lambda v: v.label),
+        ("Delivered", lambda v: pct(v.run.delivered_fraction, digits=3)),
+        ("Drops", lambda v: _faults(v.run).get("dropped_packets", 0)),
+        ("Bursts", lambda v: v.metrics["drop_bursts"]),
+        ("Partitions", lambda v: v.metrics["partitions"]),
+        ("Faults", lambda v: _faults(v.run).get("faults_applied", 0)),
+        ("Gated off", lambda v: _faults(v.run).get("gated_offs", "-")),
+        ("Pin holds", lambda v: _faults(v.run).get("pinned_holds", "-")),
+        ("Power", lambda v: pct(v.run.measured_power_fraction)),
+        ("Mean lat", lambda v: us(v.run.mean_message_latency_ns)),
+        ("Verdict", lambda v: v.cell()),
+    ),
+    golden=("scenario",),
+)

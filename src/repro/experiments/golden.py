@@ -17,21 +17,14 @@ tests compare against.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List
 
-from repro.experiments import (
-    chaos,
-    demand_topology,
-    fault_tolerance,
-    figure1,
-    figure7,
-    predictive,
-    service_resilience,
-    table1,
-)
+from repro.experiments import figure1, figure7, predictive, table1
 from repro.experiments.cache import summary_digest
+from repro.experiments.campaign import Campaign, campaigns
 from repro.experiments.scale import SCALES
 from repro.experiments.sweep import SweepRunner, using_runner
 
@@ -105,94 +98,19 @@ def predictive_payload() -> Dict[str, Any]:
     }
 
 
-def faults_payload() -> Dict[str, Any]:
-    """The seeded fault campaign's digests and availability verdict.
+def campaign_payload(campaign: Campaign) -> Dict[str, Any]:
+    """A verdict campaign's run digests, verdict and acceptance legs.
 
-    Freezes the whole fault stack at the campaign's pinned fabric and
-    seeds: per-run summary digests (which include the injector's fault/
-    drop/partition accounting and the controllers' gating counters) and
-    the two acceptance booleans — the pinned spanning set holding the
-    99.9% delivery floor with zero partitions, the unprotected gating
-    controller observably degrading.  Live no-cache runs, same as the
-    Figure 7 golden.
+    Freezes the whole stack under the campaign at its pinned fabric (or
+    service trace) and seeds: per-arm summary digests — which carry the
+    fault, chaos, guard, topology and service counters — plus what the
+    campaign's golden projection names (the JSON verdict, or the fault
+    scenario) and one boolean per acceptance leg.  Live no-cache runs,
+    same as the Figure 7 golden; the service runs in virtual time with
+    string-seeded draws, so its payload is exact on any machine.
     """
     with using_runner(SweepRunner(jobs=1, use_cache=False)):
-        result = fault_tolerance.run()
-    return {
-        "scenario": result.scenario,
-        "runs": {label: summary_digest(summary)
-                 for label, summary in result.by_label.items()},
-        "protected_ok": result.protected_ok,
-        "degraded_detected": result.degraded_detected,
-    }
-
-
-def chaos_payload() -> Dict[str, Any]:
-    """The control-plane chaos campaign's digests and SLO verdict.
-
-    Freezes the whole chaos/failsafe stack at the campaign's pinned
-    fabric and seeds: per-arm summary digests (which include the chaos
-    layer's loss/staleness/crash accounting and the guard's
-    hold/deadman/retry/recovery counters), the per-arm SLO verdicts,
-    and the two acceptance booleans — every failsafe arm meeting all
-    three SLOs, every unprotected arm violating at least one.  Live
-    no-cache runs, same as the Figure 7 golden.
-    """
-    with using_runner(SweepRunner(jobs=1, use_cache=False)):
-        result = chaos.run()
-    return {
-        "runs": {label: summary_digest(summary)
-                 for label, summary in result.by_label.items()},
-        "verdict": result.verdict_dict(),
-        "failsafe_ok": result.failsafe_ok,
-        "unprotected_degraded": result.unprotected_degraded,
-    }
-
-
-def demand_topology_payload() -> Dict[str, Any]:
-    """The demand-aware topology campaign's digests and verdict.
-
-    Freezes the whole topology-control stack at the campaign's pinned
-    fabric and seeds: per-arm summary digests (which include the
-    controllers' topology counters and the connectivity guard's
-    veto/violation accounting), the per-arm energy/latency/safety
-    verdicts, and the acceptance booleans — the demand-aware arm
-    strictly beating static FBFLY on energy at bounded latency cost on
-    every gated matrix, with zero partitions and zero guard violations
-    across all nine arms.  Live no-cache runs, same as the Figure 7
-    golden.
-    """
-    with using_runner(SweepRunner(jobs=1, use_cache=False)):
-        result = demand_topology.run()
-    return {
-        "runs": {label: summary_digest(summary)
-                 for label, summary in result.by_label.items()},
-        "verdict": result.verdict_dict(),
-        "demand_wins": result.demand_wins,
-        "safe_everywhere": result.safe_everywhere,
-    }
-
-
-def service_resilience_payload() -> Dict[str, Any]:
-    """The live-service resilience campaign's digests and SLO verdict.
-
-    Freezes the whole service stack at the campaign's pinned trace and
-    seeds: per-arm summary digests (decision-latency percentiles,
-    shed/retry/restart/recovery counters, the plant's availability and
-    energy accounting), the per-arm SLO verdicts, and the two
-    acceptance booleans — every resilient arm meeting all three SLOs,
-    every unprotected arm violating at least one.  The service runs in
-    virtual time with string-seeded draws, so the payload is exact on
-    any machine.
-    """
-    result = service_resilience.run()
-    return {
-        "runs": {label: summary.digest()
-                 for label, summary in result.by_label.items()},
-        "verdict": result.verdict_dict(),
-        "resilient_ok": result.resilient_ok,
-        "unprotected_degraded": result.unprotected_degraded,
-    }
+        return campaign.run().golden_payload()
 
 
 #: name -> payload builder; the golden file set.
@@ -201,10 +119,8 @@ GOLDEN_BUILDERS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "figure1": figure1_payload,
     "figure7": figure7_payload,
     "predictive": predictive_payload,
-    "faults": faults_payload,
-    "chaos": chaos_payload,
-    "demand_topology": demand_topology_payload,
-    "service_resilience": service_resilience_payload,
+    **{campaign.golden_name: functools.partial(campaign_payload, campaign)
+       for campaign in campaigns().values()},
 }
 
 

@@ -37,15 +37,15 @@ dropout strands 38 groups dark, loss 9, a crash halves throughput and
 strands 4, the slow consumer walks p99 to ~1090 virtual seconds).
 
 Everything is seed-pinned and virtual-time, so the verdict is exact
-and ``--scale`` is accepted but ignored.
+and independent of ``--scale``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.experiments.report import format_table, pct
+from repro.experiments.campaign import Campaign, Leg, Metric, Slo
+from repro.experiments.report import pct
 from repro.faults.control_faults import (
     ControlFaultScenario,
     ControllerCrash,
@@ -53,11 +53,7 @@ from repro.faults.control_faults import (
     TelemetryDropout,
 )
 from repro.service.faults import SlowConsumer
-from repro.service.service import (
-    ControlPlaneService,
-    ServiceConfig,
-    ServiceSummary,
-)
+from repro.service.service import ServiceConfig
 
 #: SLO: stranded-dark partitions must be exactly zero.
 SLO_MAX_PARTITIONS = 0
@@ -80,6 +76,12 @@ SLO_MIN_DPS_FRACTION = 0.9
 CAMPAIGN_SEED = 3
 CAMPAIGN_FAULT_SEED = 11
 CAMPAIGN_CONFIG = ServiceConfig(seed=CAMPAIGN_SEED)
+
+#: The p99 latency floor and the decisions/sec floor (ideal = groups /
+#: epoch seconds) in absolute units.
+LATENCY_FLOOR_NS = SLO_LATENCY_FLOOR_EPOCHS * CAMPAIGN_CONFIG.epoch_ns
+DPS_FLOOR = SLO_MIN_DPS_FRACTION * (CAMPAIGN_CONFIG.groups
+                                    / (CAMPAIGN_CONFIG.epoch_ns / 1e9))
 
 #: Virtual ns in one diurnal day of the campaign trace.
 _DAY_NS = CAMPAIGN_CONFIG.epochs_per_day * CAMPAIGN_CONFIG.epoch_ns
@@ -124,227 +126,6 @@ def _scenario(name: str) -> Tuple[Optional[ControlFaultScenario],
     raise ValueError(f"unknown scenario {name!r}")
 
 
-@dataclass
-class ArmVerdict:
-    """One arm's SLO measurements and pass/fail flags."""
-
-    label: str
-    partitions: int
-    latency_p99_ns: float
-    latency_bound_ns: float
-    decisions_per_sec: float
-    dps_floor: float
-    served_fraction: float
-
-    @property
-    def partitions_ok(self) -> bool:
-        """SLO leg 1: no group was stranded dark under demand."""
-        return self.partitions <= SLO_MAX_PARTITIONS
-
-    @property
-    def latency_ok(self) -> bool:
-        """SLO leg 2: p99 decision latency within its bound."""
-        return self.latency_p99_ns <= self.latency_bound_ns
-
-    @property
-    def throughput_ok(self) -> bool:
-        """SLO leg 3: decision rate above the floor."""
-        return self.decisions_per_sec >= self.dps_floor
-
-    @property
-    def all_ok(self) -> bool:
-        """All three SLOs met."""
-        return (self.partitions_ok and self.latency_ok
-                and self.throughput_ok)
-
-    def violations(self) -> List[str]:
-        """Names of the SLOs this arm violates."""
-        out = []
-        if not self.partitions_ok:
-            out.append("partitions")
-        if not self.latency_ok:
-            out.append("latency")
-        if not self.throughput_ok:
-            out.append("throughput")
-        return out
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe verdict record (the CI artifact rows)."""
-        return {
-            "label": self.label,
-            "partitions": self.partitions,
-            "latency_p99_ns": round(self.latency_p99_ns, 2),
-            "latency_bound_ns": round(self.latency_bound_ns, 2),
-            "decisions_per_sec": round(self.decisions_per_sec, 4),
-            "dps_floor": round(self.dps_floor, 4),
-            "served_fraction": round(self.served_fraction, 4),
-            "slo_ok": self.all_ok,
-            "violations": self.violations(),
-        }
-
-
-@dataclass
-class ServiceResilienceResult:
-    """The campaign's nine runs plus the per-arm SLO verdicts."""
-
-    by_label: Dict[str, ServiceSummary]
-
-    # -- verdict ---------------------------------------------------------
-
-    @property
-    def reference(self) -> ServiceSummary:
-        """The fault-free run the latency SLO is measured against."""
-        return self.by_label[REFERENCE]
-
-    @property
-    def latency_bound_ns(self) -> float:
-        """The p99 bound every arm is held to."""
-        return max(SLO_MAX_LATENCY_FACTOR * self.reference.latency_p99_ns,
-                   SLO_LATENCY_FLOOR_EPOCHS * CAMPAIGN_CONFIG.epoch_ns)
-
-    @property
-    def dps_floor(self) -> float:
-        """Minimum acceptable decisions per virtual second."""
-        ideal = (CAMPAIGN_CONFIG.groups
-                 / (CAMPAIGN_CONFIG.epoch_ns / 1e9))
-        return SLO_MIN_DPS_FRACTION * ideal
-
-    def verdict(self, label: str) -> ArmVerdict:
-        """SLO measurements for one arm."""
-        summary = self.by_label[label]
-        return ArmVerdict(
-            label=label,
-            partitions=summary.partitions,
-            latency_p99_ns=summary.latency_p99_ns,
-            latency_bound_ns=self.latency_bound_ns,
-            decisions_per_sec=summary.decisions_per_sec,
-            dps_floor=self.dps_floor,
-            served_fraction=summary.served_fraction,
-        )
-
-    def arm_verdicts(self) -> List[ArmVerdict]:
-        """Verdicts for every fault arm, report order."""
-        return [self.verdict(arm_label(scenario, resilient))
-                for scenario in SCENARIOS
-                for resilient in (False, True)]
-
-    @property
-    def resilient_ok(self) -> bool:
-        """Every resilient arm meets all three SLOs."""
-        return all(self.verdict(arm_label(s, True)).all_ok
-                   for s in SCENARIOS)
-
-    @property
-    def unprotected_degraded(self) -> bool:
-        """Every unprotected arm violates at least one SLO (the chaos
-        has teeth — an unprotected pass would make the resilient
-        verdict vacuous)."""
-        return all(not self.verdict(arm_label(s, False)).all_ok
-                   for s in SCENARIOS)
-
-    @property
-    def ok(self) -> bool:
-        """The campaign's exit-status verdict."""
-        return self.resilient_ok and self.unprotected_degraded
-
-    # -- reporting -------------------------------------------------------
-
-    def rows(self) -> List[List[object]]:
-        """The result's data rows, matching ``format_table`` columns."""
-        ref = self.reference
-        rows = [[
-            REFERENCE, f"{ref.latency_p99_ns / 1e6:.0f} ms",
-            f"{ref.decisions_per_sec:.2f}", 0, "0/0/0",
-            pct(ref.served_fraction, digits=2),
-            pct(ref.mean_rate_fraction), "-",
-        ]]
-        for scenario in SCENARIOS:
-            for resilient in (False, True):
-                label = arm_label(scenario, resilient)
-                summary = self.by_label[label]
-                v = self.verdict(label)
-                rows.append([
-                    label,
-                    f"{summary.latency_p99_ns / 1e6:.0f} ms",
-                    f"{summary.decisions_per_sec:.2f}",
-                    v.partitions,
-                    f"{summary.sheds}/{summary.retries}"
-                    f"/{summary.restarts}",
-                    pct(summary.served_fraction, digits=2),
-                    pct(summary.mean_rate_fraction),
-                    ("PASS" if v.all_ok
-                     else "viol:" + ",".join(v.violations())),
-                ])
-        return rows
-
-    def format_table(self) -> str:
-        """Render the result as an aligned text table."""
-        config = CAMPAIGN_CONFIG
-        return format_table(
-            ["Arm", "p99 lat", "Dec/s", "Partitions", "Shed/Rty/Rst",
-             "Served", "Energy", "SLO"],
-            self.rows(),
-            title=f"Service resilience: {config.groups} groups, "
-                  f"{config.epochs} x {config.epoch_ns / 1e9:.0f}s "
-                  f"epochs diurnal replay — resilient vs unprotected "
-                  f"service across fault scenarios",
-        )
-
-    def verdict_lines(self) -> List[str]:
-        """Human-readable pass/fail lines for the acceptance legs."""
-        lines = [
-            f"SLOs: partitions == {SLO_MAX_PARTITIONS}, p99 decision "
-            f"latency <= {self.latency_bound_ns / 1e9:.1f}s, "
-            f"decisions/sec >= {self.dps_floor:.2f}",
-        ]
-        rs = [self.verdict(arm_label(s, True)) for s in SCENARIOS]
-        un = [self.verdict(arm_label(s, False)) for s in SCENARIOS]
-        lines.append(
-            f"resilient: worst p99 "
-            f"{max(v.latency_p99_ns for v in rs) / 1e9:.1f}s, "
-            f"min dec/s {min(v.decisions_per_sec for v in rs):.2f}, "
-            f"partitions {max(v.partitions for v in rs)} — "
-            + ("all SLOs met under every fault" if self.resilient_ok
-               else "SLO VIOLATED: " + "; ".join(
-                   f"{v.label} -> {','.join(v.violations())}"
-                   for v in rs if not v.all_ok)))
-        lines.append(
-            "unprotected: partitions "
-            + ", ".join(str(v.partitions) for v in un)
-            + ", dec/s "
-            + ", ".join(f"{v.decisions_per_sec:.2f}" for v in un)
-            + " — "
-            + ("every scenario violates an SLO (chaos has teeth)"
-               if self.unprotected_degraded
-               else "an unprotected arm met all SLOs "
-                    "(campaign too gentle)"))
-        return lines
-
-    def verdict_dict(self) -> Dict[str, object]:
-        """The JSON verdict artifact (CI uploads this)."""
-        return {
-            "slo": {
-                "max_partitions": SLO_MAX_PARTITIONS,
-                "max_latency_factor": SLO_MAX_LATENCY_FACTOR,
-                "latency_floor_epochs": SLO_LATENCY_FLOOR_EPOCHS,
-                "min_dps_fraction": SLO_MIN_DPS_FRACTION,
-                "latency_bound_ns": round(self.latency_bound_ns, 2),
-                "dps_floor": round(self.dps_floor, 4),
-            },
-            "reference": {
-                "latency_p99_ns": round(self.reference.latency_p99_ns, 2),
-                "decisions_per_sec": round(
-                    self.reference.decisions_per_sec, 4),
-                "served_fraction": round(
-                    self.reference.served_fraction, 6),
-            },
-            "arms": [v.to_dict() for v in self.arm_verdicts()],
-            "resilient_ok": self.resilient_ok,
-            "unprotected_degraded": self.unprotected_degraded,
-            "ok": self.ok,
-        }
-
-
 def build_arms() -> Dict[str, Tuple[ServiceConfig,
                                     Optional[ControlFaultScenario],
                                     Optional[SlowConsumer]]]:
@@ -358,34 +139,79 @@ def build_arms() -> Dict[str, Tuple[ServiceConfig,
     return arms
 
 
-def run_arm(config: ServiceConfig,
-            scenario: Optional[ControlFaultScenario],
-            slow: Optional[SlowConsumer]) -> ServiceSummary:
-    """Run one campaign arm to completion."""
-    return ControlPlaneService(config, scenario=scenario,
-                               slow=slow).run()
+#: Arms per protection setting, report order.
+RESILIENT_ARMS = tuple(arm_label(s, True) for s in SCENARIOS)
+UNPROTECTED_ARMS = tuple(arm_label(s, False) for s in SCENARIOS)
+FAULT_ARMS = UNPROTECTED_ARMS + RESILIENT_ARMS
 
 
-def run(scale=None) -> ServiceResilienceResult:
-    """Run the campaign and return its result object.
+def _header(result) -> Dict[str, object]:
+    """The verdict artifact's SLO bands and reference measurements."""
+    ref = result.verdict(REFERENCE)
+    return {
+        "slo": {
+            "max_partitions": SLO_MAX_PARTITIONS,
+            "max_latency_factor": SLO_MAX_LATENCY_FACTOR,
+            "latency_floor_epochs": SLO_LATENCY_FLOOR_EPOCHS,
+            "min_dps_fraction": SLO_MIN_DPS_FRACTION,
+            "latency_bound_ns": round(ref.metrics["latency_bound_ns"], 2),
+            "dps_floor": round(DPS_FLOOR, 4),
+        },
+        "reference": {
+            "latency_p99_ns": round(ref.run.latency_p99_ns, 2),
+            "decisions_per_sec": round(ref.run.decisions_per_sec, 4),
+            "served_fraction": round(ref.run.served_fraction, 6),
+        },
+    }
 
-    ``scale`` is accepted for CLI uniformity but ignored: the campaign
-    trace and seeds are pinned so the verdict is deterministic.
-    """
-    del scale
-    return ServiceResilienceResult(by_label={
-        label: run_arm(config, scenario, slow)
-        for label, (config, scenario, slow) in build_arms().items()})
 
-
-def main() -> None:
-    """CLI entry point: run the campaign and print table + verdict."""
-    result = run()
-    print(result.format_table())
-    print()
-    for line in result.verdict_lines():
-        print(line)
-
-
-if __name__ == "__main__":
-    main()
+CAMPAIGN = Campaign(
+    name="service-resilience",
+    description="live control-plane service: resilient vs unprotected "
+                "SLOs under stream chaos",
+    golden_name="service_resilience",
+    build=build_arms,
+    options={},
+    reference=lambda label: REFERENCE,
+    metrics=(
+        Metric("partitions", lambda a: a.run.partitions),
+        Metric("latency_p99_ns", lambda a: a.run.latency_p99_ns, 2),
+        Metric("latency_bound_ns",
+               lambda a: max(SLO_MAX_LATENCY_FACTOR * a.ref.latency_p99_ns,
+                             LATENCY_FLOOR_NS), 2),
+        Metric("decisions_per_sec", lambda a: a.run.decisions_per_sec, 4),
+        Metric("dps_floor", lambda a: DPS_FLOOR, 4),
+        Metric("served_fraction", lambda a: a.run.served_fraction, 4),
+    ),
+    slos=(
+        Slo("partitions", "partitions", "<=", SLO_MAX_PARTITIONS,
+            FAULT_ARMS),
+        Slo("latency", "latency_p99_ns", "<=", "latency_bound_ns",
+            FAULT_ARMS),
+        Slo("throughput", "decisions_per_sec", ">=", "dps_floor",
+            FAULT_ARMS),
+    ),
+    legs=(
+        Leg("resilient_ok", RESILIENT_ARMS, passes=True,
+            held="all SLOs met under every fault"),
+        Leg("unprotected_degraded", UNPROTECTED_ARMS, passes=False,
+            held="every scenario violates an SLO (chaos has teeth)"),
+    ),
+    header=_header,
+    title=f"Service resilience: {CAMPAIGN_CONFIG.groups} groups, "
+          f"{CAMPAIGN_CONFIG.epochs} x "
+          f"{CAMPAIGN_CONFIG.epoch_ns / 1e9:.0f}s epochs diurnal replay "
+          f"— resilient vs unprotected service across fault scenarios",
+    table=(
+        ("Arm", lambda v: v.label),
+        ("p99 lat", lambda v: f"{v.run.latency_p99_ns / 1e6:.0f} ms"),
+        ("Dec/s", lambda v: f"{v.run.decisions_per_sec:.2f}"),
+        ("Partitions", lambda v: v.run.partitions),
+        ("Shed/Rty/Rst",
+         lambda v: f"{v.run.sheds}/{v.run.retries}/{v.run.restarts}"),
+        ("Served", lambda v: pct(v.run.served_fraction, digits=2)),
+        ("Energy", lambda v: pct(v.run.mean_rate_fraction)),
+        ("SLO", lambda v: v.cell()),
+    ),
+    service=True,
+)

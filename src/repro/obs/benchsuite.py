@@ -150,13 +150,13 @@ def _fresh_runner(jobs):
     return SweepRunner(jobs=1 if jobs is None else jobs, use_cache=False)
 
 
-def _experiment_execute(run_fn, needs_scale):
+def _experiment_execute(run_fn, kind):
     """Build an executor timing one paper experiment end to end."""
     def execute(scale, jobs=1) -> ScenarioRun:
         from repro.experiments.sweep import using_runner
         runner = _fresh_runner(jobs)
         with using_runner(runner):
-            payload = run_fn(scale=scale) if needs_scale else run_fn()
+            payload = run_fn(scale=scale) if kind == "sim" else run_fn()
         return ScenarioRun(events=runner.stats.events_fired,
                            payload=payload)
     return execute
@@ -300,15 +300,16 @@ def ensure_default_scenarios() -> None:
     from repro.cli import EXPERIMENTS
 
     for name in sorted(EXPERIMENTS):
-        description, needs_scale, run_fn = EXPERIMENTS[name]
+        description, kind, run_fn = EXPERIMENTS[name]
+        analytic = kind == "analytic"
         register_scenario(Scenario(
             name=name,
             kind="experiment",
             description=description,
-            execute=_experiment_execute(run_fn, needs_scale),
+            execute=_experiment_execute(run_fn, kind),
             quick=name in _QUICK_EXPERIMENTS,
-            warmup=1 if not needs_scale else 0,
-            repeats=3 if not needs_scale else 1,
+            warmup=1 if analytic else 0,
+            repeats=3 if analytic else 1,
         ))
 
     register_scenario(Scenario(

@@ -35,3 +35,21 @@ def drain(network: FbflyNetwork, slack_ns: float = 5_000_000.0):
     network.sim.run()
     network.stats.finalize(network.sim.now)
     return network.stats
+
+
+class _GoldenPayloads(dict):
+    """Golden payloads computed on first use, once per session."""
+
+    def __missing__(self, name):
+        from repro.experiments import golden
+        payload = self[name] = golden.GOLDEN_BUILDERS[name]()
+        return payload
+
+
+@pytest.fixture(scope="session")
+def golden_payloads():
+    """name -> live golden payload, shared by every test in the session
+    (each builder simulates for tens of seconds; computing it once keeps
+    the golden checks and the ``golden-refresh`` CLI test from paying
+    twice)."""
+    return _GoldenPayloads()

@@ -4,7 +4,8 @@ The campaign itself is pinned by ``tests/golden/chaos.json``; here the
 pure logic is exercised with synthetic summaries: spec construction,
 the per-arm SLO verdicts and their boundary semantics, the two
 acceptance legs (failsafe meets SLOs / unprotected violates them) and
-the JSON verdict artifact CI uploads.
+the JSON verdict artifact CI uploads — all through the chaos
+campaign's :class:`~repro.experiments.campaign.Campaign` declaration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.experiments.campaign import ArmVerdict, CampaignResult
 from repro.experiments.chaos import (
+    CAMPAIGN,
     CAMPAIGN_CONTROL,
     CAMPAIGN_DATA_SCENARIO,
     CAMPAIGN_FAULT_SEED,
@@ -23,8 +26,6 @@ from repro.experiments.chaos import (
     SLO_MAX_LATENCY_FACTOR,
     SLO_MAX_PARTITIONS,
     SLO_MAX_POWER_DELTA,
-    ArmVerdict,
-    ChaosCampaignResult,
     arm_label,
     build_specs,
 )
@@ -55,7 +56,7 @@ def fake_result(failsafe_latency=95.0, unprotected_latency=480.0,
         by_label[arm_label(intensity, False)] = fake_summary(
             latency=unprotected_latency, power=0.4, delivered=0.6,
             scenario=f"ctl_chaos_{intensity}")
-    return ChaosCampaignResult(by_label=by_label)
+    return CampaignResult(CAMPAIGN, by_label)
 
 
 class TestBuildSpecs:
@@ -96,18 +97,10 @@ class TestBuildSpecs:
 
 class TestArmVerdict:
     def make(self, **kw):
-        base = dict(label="mid/failsafe", partitions=0,
-                    latency_factor=1.0, power_delta=0.0,
-                    delivered_fraction=1.0)
-        base.update(kw)
-        return ArmVerdict(**base)
-
-    def test_exactly_at_every_bound_still_passes(self):
-        v = self.make(partitions=SLO_MAX_PARTITIONS,
-                      latency_factor=SLO_MAX_LATENCY_FACTOR,
-                      power_delta=SLO_MAX_POWER_DELTA)
-        assert v.all_ok
-        assert v.violations() == []
+        metrics = dict(partitions=0, latency_factor=1.0, power_delta=0.0,
+                       delivered_fraction=1.0)
+        metrics.update(kw)
+        return ArmVerdict(CAMPAIGN, "mid/failsafe", metrics)
 
     def test_each_slo_fails_independently(self):
         assert self.make(partitions=1).violations() == ["partitions"]
@@ -132,35 +125,37 @@ class TestCampaignVerdict:
     def test_verdict_measures_against_the_reference(self):
         result = fake_result(failsafe_latency=120.0, failsafe_power=0.58)
         v = result.verdict(arm_label("mid", True))
-        assert v.latency_factor == pytest.approx(1.2)
-        assert v.power_delta == pytest.approx(0.08)
-        assert v.partitions == 0
+        assert v.metrics["latency_factor"] == pytest.approx(1.2)
+        assert v.metrics["power_delta"] == pytest.approx(0.08)
+        assert v.metrics["partitions"] == 0
 
     def test_happy_path_both_legs_hold(self):
         result = fake_result()
-        assert result.failsafe_ok
-        assert result.unprotected_degraded
+        assert result.legs() == {"failsafe_ok": True,
+                                 "unprotected_degraded": True}
         assert result.ok
 
     def test_one_bad_failsafe_arm_fails_the_campaign(self):
         result = fake_result()
         result.by_label[arm_label("high", True)] = fake_summary(
             latency=400.0, scenario="ctl_chaos_high")
-        assert not result.failsafe_ok
+        assert not result.legs()["failsafe_ok"]
         assert not result.ok
 
     def test_one_partition_fails_the_failsafe_leg(self):
         result = fake_result(failsafe_partitions=1)
-        assert not result.failsafe_ok
+        assert not result.legs()["failsafe_ok"]
 
     def test_gentle_chaos_fails_the_teeth_leg(self):
         # An unprotected arm sailing through all SLOs makes the
         # failsafe verdict vacuous: the campaign must say so.
         result = fake_result(unprotected_latency=100.0)
         result.by_label[arm_label("low", False)].delivered_fraction = 1.0
-        assert result.failsafe_ok
-        assert not result.unprotected_degraded
+        assert result.legs() == {"failsafe_ok": True,
+                                 "unprotected_degraded": False}
         assert not result.ok
+        assert "campaign too gentle: low/unprotected" in "\n".join(
+            result.verdict_lines())
 
     def test_verdict_dict_carries_bands_arms_and_booleans(self):
         d = fake_result().verdict_dict()

@@ -115,13 +115,30 @@ class TestExecution:
         assert main(["table2", "--json"]) == 0
 
     def test_golden_refresh_writes_requested_directory(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, monkeypatch, golden_payloads):
+        # The builders' payloads are shared with the golden tests (each
+        # simulates for tens of seconds); the CLI path still writes them.
+        from pathlib import Path
+
+        from repro.experiments import golden
+
+        payloads = {name: golden_payloads[name]
+                    for name in golden.GOLDEN_BUILDERS}
+        monkeypatch.setattr(golden, "GOLDEN_BUILDERS", {
+            name: (lambda payload=payload: payload)
+            for name, payload in payloads.items()})
         assert main(["golden-refresh", "--output", str(tmp_path),
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "wrote" in out
         for name in ("table1", "figure1", "figure7"):
             assert (tmp_path / f"{name}.json").exists()
+        frozen = Path(__file__).parent / "golden"
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(p.name for p in frozen.glob("*.json"))
+        for name in written:
+            assert (tmp_path / name).read_bytes() == \
+                (frozen / name).read_bytes(), name
 
     def test_simulation_experiment_reports_sweep_stats(
             self, tmp_path, capsys):
@@ -184,22 +201,12 @@ class TestObsFlags:
 
 
 class TestChaosCli:
-    def test_parser_defaults_are_the_campaign_constants(self):
-        from repro.cli import build_chaos_parser
-        from repro.experiments import chaos
-
-        args = build_chaos_parser().parse_args([])
-        assert args.compare is False
-        assert args.json_out is None
-        assert args.seed == chaos.CAMPAIGN_SEED
-        assert args.fault_seed == chaos.CAMPAIGN_FAULT_SEED
-        assert args.retries is None
-
     def test_parser_accepts_the_gate_flags(self, tmp_path):
-        from repro.cli import build_chaos_parser
+        from repro.cli import build_campaign_parser
 
-        args = build_chaos_parser().parse_args(
-            ["--compare", "--json-out", str(tmp_path / "v.json"),
+        args = build_campaign_parser().parse_args(
+            ["chaos-campaign", "--compare",
+             "--json-out", str(tmp_path / "v.json"),
              "--retries", "3", "--no-cache"])
         assert args.compare is True
         assert args.json_out == tmp_path / "v.json"
@@ -213,21 +220,12 @@ class TestChaosCli:
 
 
 class TestTopoCli:
-    def test_parser_defaults_are_the_campaign_constants(self):
-        from repro.cli import build_topo_parser
-        from repro.experiments import demand_topology
-
-        args = build_topo_parser().parse_args([])
-        assert args.compare is False
-        assert args.json_out is None
-        assert args.seed == demand_topology.CAMPAIGN_SEED
-        assert args.retries is None
-
     def test_parser_accepts_the_gate_flags(self, tmp_path):
-        from repro.cli import build_topo_parser
+        from repro.cli import build_campaign_parser
 
-        args = build_topo_parser().parse_args(
-            ["--compare", "--json-out", str(tmp_path / "v.json"),
+        args = build_campaign_parser().parse_args(
+            ["demand-topology", "--compare",
+             "--json-out", str(tmp_path / "v.json"),
              "--jobs", "2", "--no-cache"])
         assert args.compare is True
         assert args.json_out == tmp_path / "v.json"

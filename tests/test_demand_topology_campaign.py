@@ -4,22 +4,24 @@ The campaign itself is pinned by ``tests/golden/demand_topology.json``;
 here the pure logic is exercised with synthetic summaries: spec
 construction, the per-arm energy/latency/safety verdicts and their
 gating semantics, the two acceptance legs (demand wins the gated
-matrices / every arm is safe) and the JSON verdict artifact CI uploads.
+matrices / every arm is safe) and the JSON verdict artifact CI uploads — all through the campaign's
+:class:`~repro.experiments.campaign.Campaign` declaration.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
+from repro.experiments.campaign import CampaignResult
 from repro.experiments.demand_topology import (
     ARMS,
+    CAMPAIGN,
     CAMPAIGN_FORECASTER,
     CAMPAIGN_LOAD,
     CAMPAIGN_SEED,
     GATED_WORKLOADS,
     VERDICT_MAX_LATENCY_FACTOR,
     WORKLOADS,
-    DemandTopologyResult,
     arm_label,
     build_specs,
 )
@@ -53,7 +55,11 @@ def fake_result(demand_power=0.55, demand_latency=110.0,
             partitions=demand_partitions,
             topo=topo_digest(
                 guard_violations=demand_guard_violations))
-    return DemandTopologyResult(by_label=by_label)
+    return CampaignResult(CAMPAIGN, by_label)
+
+
+def verdict(result, workload, arm):
+    return result.verdict(arm_label(workload, arm))
 
 
 class TestBuildSpecs:
@@ -94,69 +100,76 @@ class TestArmVerdict:
     def test_winning_demand_arm_passes_every_leg(self):
         result = fake_result()
         for workload in GATED_WORKLOADS:
-            verdict = result.verdict(workload, "demand")
-            assert verdict.gated
-            assert verdict.energy_ok and verdict.latency_ok
-            assert verdict.safety_ok and verdict.all_ok
-            assert verdict.violations() == []
+            v = verdict(result, workload, "demand")
+            assert v.metrics["gated"] is True
+            assert v.outcomes == {"energy": True, "latency": True,
+                                  "safety": True}
+            assert v.ok
+            assert v.violations() == []
 
     def test_energy_leg_is_strict(self):
         # Matching static power is not saving energy.
-        verdict = fake_result(demand_power=0.6).verdict(
-            GATED_WORKLOADS[0], "demand")
-        assert not verdict.energy_ok
-        assert "energy" in verdict.violations()
-        assert not verdict.all_ok
+        v = verdict(fake_result(demand_power=0.6), GATED_WORKLOADS[0],
+                    "demand")
+        assert v.metrics["power_delta"] == 0.0
+        assert v.outcomes["energy"] is False
+        assert "energy" in v.violations()
+        assert not v.ok
 
     def test_latency_bound_is_inclusive(self):
         at_bound = fake_result(
             demand_latency=100.0 * VERDICT_MAX_LATENCY_FACTOR)
-        assert at_bound.verdict(GATED_WORKLOADS[0], "demand").latency_ok
+        assert verdict(at_bound, GATED_WORKLOADS[0],
+                       "demand").outcomes["latency"]
         over = fake_result(
             demand_latency=100.0 * VERDICT_MAX_LATENCY_FACTOR + 1.0)
-        assert not over.verdict(GATED_WORKLOADS[0], "demand").latency_ok
+        assert not verdict(over, GATED_WORKLOADS[0],
+                           "demand").outcomes["latency"]
 
     def test_ungated_arms_gate_on_safety_only(self):
         result = fake_result()
-        degraded = result.verdict("skewed", "degraded")
-        assert not degraded.gated
+        degraded = verdict(result, "skewed", "degraded")
+        assert degraded.metrics["gated"] is False
         # 1.8x latency and higher power than static: fails both gated
         # legs, but an ungated arm only answers for safety.
-        assert degraded.latency_factor > VERDICT_MAX_LATENCY_FACTOR
-        assert degraded.all_ok
-        shifting = result.verdict("shifting", "demand")
-        assert not shifting.gated
+        assert degraded.metrics["latency_factor"] > \
+            VERDICT_MAX_LATENCY_FACTOR
+        assert list(degraded.outcomes) == ["safety"]
+        assert degraded.ok
+        shifting = verdict(result, "shifting", "demand")
+        assert shifting.metrics["gated"] is False
+        assert list(shifting.outcomes) == ["safety"]
 
     def test_partition_or_guard_violation_fails_any_arm(self):
         partitioned = fake_result(demand_partitions=1)
-        verdict = partitioned.verdict("shifting", "demand")
-        assert not verdict.safety_ok
-        assert verdict.violations() == ["safety"]
+        v = verdict(partitioned, "shifting", "demand")
+        assert not v.outcomes["safety"]
+        assert v.violations() == ["safety"]
         violated = fake_result(demand_guard_violations=2)
-        assert not violated.verdict("skewed", "demand").all_ok
+        assert not verdict(violated, "skewed", "demand").ok
 
 
 class TestResultVerdict:
     def test_clean_campaign_is_ok(self):
         result = fake_result()
-        assert result.demand_wins
-        assert result.safe_everywhere
+        assert result.legs() == {"demand_wins": True,
+                                 "safe_everywhere": True}
         assert result.ok
 
     def test_demand_loss_on_a_gated_matrix_fails(self):
         result = fake_result(demand_power=0.65)
-        assert not result.demand_wins
-        assert result.safe_everywhere
+        assert result.legs() == {"demand_wins": False,
+                                 "safe_everywhere": True}
         assert not result.ok
 
     def test_any_unsafe_arm_fails_the_campaign(self):
         result = fake_result(demand_partitions=1)
-        assert not result.safe_everywhere
+        assert not result.legs()["safe_everywhere"]
         assert not result.ok
 
     def test_verdict_lines_name_failures(self):
         lines = "\n".join(fake_result(demand_power=0.65).verdict_lines())
-        assert "VERDICT FAILED" in lines
+        assert "SLO VIOLATED: skewed/demand -> energy" in lines
         ok_lines = "\n".join(fake_result().verdict_lines())
         assert "beats static on every gated matrix" in ok_lines
         assert "zero partitions" in ok_lines

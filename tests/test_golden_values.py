@@ -2,10 +2,11 @@
 
 ``tests/golden/*.json`` freezes the seed repo's Table 1 part counts,
 Figure 1 scenario watts and Figure 7 run digests.  Each test recomputes
-the payload live (the Figure 7 one through an isolated no-cache sweep
-runner, so a stale cache can never mask drift) and compares within
-1e-9.  Refresh deliberately with ``python -m repro golden-refresh`` or
-``make golden-refresh`` after an *intentional* result change.
+the payload live (the simulations through an isolated no-cache sweep
+runner, so a stale cache can never mask drift; once per session, via
+the ``golden_payloads`` fixture) and compares within 1e-9.  Refresh
+deliberately with ``python -m repro golden-refresh`` or ``make
+golden-refresh`` after an *intentional* result change.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ class TestGoldenFiles:
                 f"missing golden file for {name}; run "
                 "`python -m repro golden-refresh`")
 
-    def test_table1_part_counts_match(self):
+    def test_table1_part_counts_match(self, golden_payloads):
         frozen = golden.load(GOLDEN_DIR, "table1")
-        golden.assert_close(frozen, golden.table1_payload())
+        golden.assert_close(frozen, golden_payloads["table1"])
 
     def test_table1_headline_values(self):
         # The paper's numbers, spelled out: any regression here is a
@@ -39,21 +40,21 @@ class TestGoldenFiles:
         assert frozen["fbfly"]["switch_chips"] < \
             0.6 * frozen["clos"]["switch_chips"]
 
-    def test_figure1_scenarios_match(self):
+    def test_figure1_scenarios_match(self, golden_payloads):
         frozen = golden.load(GOLDEN_DIR, "figure1")
-        golden.assert_close(frozen, golden.figure1_payload())
+        golden.assert_close(frozen, golden_payloads["figure1"])
 
-    def test_figure7_simulation_digest_matches(self):
+    def test_figure7_simulation_digest_matches(self, golden_payloads):
         frozen = golden.load(GOLDEN_DIR, "figure7")
-        golden.assert_close(frozen, golden.figure7_payload())
+        golden.assert_close(frozen, golden_payloads["figure7"])
 
-    def test_predictive_simulation_digest_matches(self):
+    def test_predictive_simulation_digest_matches(self, golden_payloads):
         frozen = golden.load(GOLDEN_DIR, "predictive")
-        golden.assert_close(frozen, golden.predictive_payload())
+        golden.assert_close(frozen, golden_payloads["predictive"])
 
-    def test_faults_campaign_digest_matches(self):
+    def test_faults_campaign_digest_matches(self, golden_payloads):
         frozen = golden.load(GOLDEN_DIR, "faults")
-        golden.assert_close(frozen, golden.faults_payload())
+        golden.assert_close(frozen, golden_payloads["faults"])
 
     def test_faults_campaign_verdict_frozen(self):
         # The acceptance demo, spelled out: the pinned spanning set
@@ -69,9 +70,9 @@ class TestGoldenFiles:
         assert (gated["faults"]["partitions"] >= 1
                 or gated["faults"]["drop_bursts"] >= 1)
 
-    def test_chaos_campaign_digest_matches(self):
+    def test_chaos_campaign_digest_matches(self, golden_payloads):
         frozen = golden.load(GOLDEN_DIR, "chaos")
-        golden.assert_close(frozen, golden.chaos_payload())
+        golden.assert_close(frozen, golden_payloads["chaos"])
 
     def test_chaos_campaign_verdict_frozen(self):
         # The tentpole's acceptance demo, spelled out: every failsafe
@@ -93,9 +94,10 @@ class TestGoldenFiles:
                 assert "latency" in arm["violations"]
 
 
-    def test_demand_topology_campaign_digest_matches(self):
+    def test_demand_topology_campaign_digest_matches(
+            self, golden_payloads):
         frozen = golden.load(GOLDEN_DIR, "demand_topology")
-        golden.assert_close(frozen, golden.demand_topology_payload())
+        golden.assert_close(frozen, golden_payloads["demand_topology"])
 
     def test_demand_topology_verdict_frozen(self):
         # The tentpole's acceptance demo, spelled out: the demand-aware
@@ -125,9 +127,10 @@ class TestGoldenFiles:
         assert (by_label["skewed/degraded"]["latency_factor"]
                 > by_label["skewed/demand"]["latency_factor"])
 
-    def test_service_resilience_campaign_digest_matches(self):
+    def test_service_resilience_campaign_digest_matches(
+            self, golden_payloads):
         frozen = golden.load(GOLDEN_DIR, "service_resilience")
-        golden.assert_close(frozen, golden.service_resilience_payload())
+        golden.assert_close(frozen, golden_payloads["service_resilience"])
 
     def test_service_resilience_verdict_frozen(self):
         # The service tentpole's acceptance demo, spelled out: every

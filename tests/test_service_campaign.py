@@ -13,6 +13,7 @@ import dataclasses
 import json
 
 from repro.experiments import service_resilience as sr
+from repro.experiments.campaign import ArmVerdict
 from repro.faults.control_faults import (
     ControlFaultScenario,
     TelemetryDropout,
@@ -91,16 +92,15 @@ class TestArmMatrix:
 
 class TestVerdictLogic:
     def make(self, **kwargs):
-        base = dict(label="x/resilient", partitions=0,
-                    latency_p99_ns=1e8, latency_bound_ns=2.5e10,
-                    decisions_per_sec=0.8, dps_floor=0.72,
-                    served_fraction=1.0)
-        base.update(kwargs)
-        return sr.ArmVerdict(**base)
+        metrics = dict(partitions=0, latency_p99_ns=1e8,
+                       latency_bound_ns=2.5e10, decisions_per_sec=0.8,
+                       dps_floor=0.72, served_fraction=1.0)
+        metrics.update(kwargs)
+        return ArmVerdict(sr.CAMPAIGN, "dropout/resilient", metrics)
 
     def test_all_ok_when_every_slo_met(self):
         v = self.make()
-        assert v.all_ok is True
+        assert v.ok is True
         assert v.violations() == []
         assert v.to_dict()["slo_ok"] is True
 
@@ -114,7 +114,7 @@ class TestVerdictLogic:
                           decisions_per_sec=0.1)
         assert worst.violations() \
             == ["partitions", "latency", "throughput"]
-        assert worst.all_ok is False
+        assert worst.ok is False
 
 
 class TestSmallScaleSeparation:

@@ -1,4 +1,5 @@
-"""``repro serve`` and the service rows of ``repro obs summarize``.
+"""``repro campaign service-resilience`` and the service rows of
+``repro obs summarize``.
 
 Single-arm runs (epoch-overridden so they stay fast), run-record /
 metrics / trace artifacts, and the obs rollup of service records.
@@ -11,20 +12,23 @@ import json
 
 import pytest
 
-from repro.cli import build_serve_parser, main
+from repro.cli import build_campaign_parser, main
 from repro.obs.runrecord import read_run_log
+
+SERVE = ("campaign", "service-resilience")
 
 
 class TestServeParser:
     def test_defaults(self):
-        args = build_serve_parser().parse_args([])
+        args = build_campaign_parser().parse_args(["service-resilience"])
         assert args.compare is False
         assert args.single is None
         assert args.json_out is None
 
     def test_single_with_artifacts(self, tmp_path):
-        args = build_serve_parser().parse_args(
-            ["--single", "slow/resilient", "--epochs", "48",
+        args = build_campaign_parser().parse_args(
+            ["service-resilience", "--single", "slow/resilient",
+             "--epochs", "48",
              "--run-log", str(tmp_path / "runs.jsonl"),
              "--metrics-out", str(tmp_path / "metrics.txt"),
              "--trace-out", str(tmp_path / "trace.json")])
@@ -34,21 +38,21 @@ class TestServeParser:
 
 class TestServeSingle:
     def test_reference_arm_runs_and_reports(self, capsys):
-        assert main(["serve", "--single", "reference",
+        assert main([*SERVE, "--single", "reference",
                      "--epochs", "24"]) == 0
         out = capsys.readouterr().out
         assert "reference:" in out
         assert "partitions=0" in out
 
     def test_unknown_arm_is_a_clean_error(self, capsys):
-        assert main(["serve", "--single", "meteor/unshielded"]) == 1
+        assert main([*SERVE, "--single", "meteor/unshielded"]) == 1
         assert "unknown arm" in capsys.readouterr().err
 
     def test_artifacts_are_written(self, tmp_path, capsys):
         log = tmp_path / "runs.jsonl"
         metrics = tmp_path / "metrics.txt"
         trace = tmp_path / "trace.json"
-        assert main(["serve", "--single", "dropout/resilient",
+        assert main([*SERVE, "--single", "dropout/resilient",
                      "--epochs", "36",
                      "--run-log", str(log),
                      "--metrics-out", str(metrics),
@@ -77,7 +81,7 @@ class TestServeSingle:
             self, tmp_path, capsys):
         log = tmp_path / "runs.jsonl"
         for arm in ("reference", "crash/resilient"):
-            assert main(["serve", "--single", arm, "--epochs", "24",
+            assert main([*SERVE, "--single", arm, "--epochs", "24",
                          "--run-log", str(log)]) == 0
         capsys.readouterr()
         assert main(["obs", "summarize", str(log)]) == 0
