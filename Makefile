@@ -4,28 +4,17 @@
 PY := PYTHONPATH=src python
 JOBS ?= 4
 
-.PHONY: test bench perf perf-quick perf-baseline smoke-sweep campaigns \
-	golden-refresh clean-cache
+.PHONY: test bench perfbench smoke-sweep campaigns golden-refresh \
+	clean-cache
 
 test:            ## tier-1 test suite
 	$(PY) -m pytest -x -q
 
-bench:           ## full benchmark suite (regenerates every figure)
+bench:           ## every figure benchmark (regenerates and asserts each)
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
-perf:            ## full perf suite, gated against the committed baseline
-	$(PY) -m repro perf run --out /tmp/BENCH_suite.json
-	$(PY) -m repro perf compare --baseline BENCH_suite.json \
-		/tmp/BENCH_suite.json
-
-perf-quick:      ## quick perf smoke (the CI configuration, warn-only)
-	$(PY) -m repro perf run --quick --out /tmp/BENCH_suite.json
-	$(PY) -m repro perf compare --baseline BENCH_suite.json \
-		/tmp/BENCH_suite.json --warn-only
-
-perf-baseline:   ## deliberately refresh the committed BENCH_suite.json
-	$(PY) -m repro perf run --out BENCH_suite.json
-	@git --no-pager diff --stat BENCH_suite.json || true
+perfbench:       ## the benchmark of record: every workload, digest-gated
+	python3 perfbench/run.py
 
 smoke-sweep:     ## quick parallel sweep: figure 7 with 2 workers
 	$(PY) -m repro figure7 --jobs 2

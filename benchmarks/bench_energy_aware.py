@@ -1,12 +1,13 @@
 """Ablation: energy-aware routing (Section 5.1's open problem)."""
 
-from conftest import run_scenario
+from conftest import measure
 
+from repro.experiments import energy_aware
 from repro.power.channel_models import IdealChannelPower
 
 
 def test_energy_aware_routing(benchmark, scale):
-    result = run_scenario(benchmark, "energy-aware", scale).payload
+    result, _ = measure(benchmark, energy_aware.run, scale=scale)
     print("\n" + result.format_table())
 
     aware = result.runs["energy-aware"]

@@ -1,10 +1,12 @@
 """Figure 1: server vs network power scenarios."""
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import figure1
 
 
 def test_figure1(benchmark):
-    result = run_scenario(benchmark, "figure1").payload
+    result, _ = measure(benchmark, figure1.run, rounds=3, warmup_rounds=1)
     print("\n" + result.format_table())
 
     scenarios = result.scenarios

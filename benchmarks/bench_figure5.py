@@ -1,10 +1,12 @@
 """Figure 5: switch-chip dynamic range."""
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import figure5
 
 
 def test_figure5(benchmark):
-    result = run_scenario(benchmark, "figure5").payload
+    result, _ = measure(benchmark, figure5.run, rounds=3, warmup_rounds=1)
     print("\n" + result.format_table())
     assert result.profile.performance_dynamic_range == 16.0
     # Slowest optical mode at 42% of full power (the paper's anchor).

@@ -1,10 +1,12 @@
 """Figure 6: ITRS bandwidth trend."""
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import figure6
 
 
 def test_figure6(benchmark):
-    result = run_scenario(benchmark, "figure6").payload
+    result, _ = measure(benchmark, figure6.run, rounds=3, warmup_rounds=1)
     print("\n" + result.format_table())
     assert result.series[-1].io_bandwidth_tbps == 160.0
     assert result.cagr > 0.2

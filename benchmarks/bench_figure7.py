@@ -5,11 +5,13 @@ slowest mode, and independent per-channel control spending less time at
 the fast speeds than paired control.
 """
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import figure7
 
 
 def test_figure7(benchmark, scale):
-    result = run_scenario(benchmark, "figure7", scale).payload
+    result, _ = measure(benchmark, figure7.run, scale=scale)
     print("\n" + result.format_table())
 
     # "most links spend a majority of their time in the lowest

@@ -7,11 +7,13 @@ small multiple of average utilization under ideal channels, and
 independent channel control dominates paired control.
 """
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import figure8
 
 
 def test_figure8(benchmark, scale):
-    result = run_scenario(benchmark, "figure8", scale).payload
+    result, _ = measure(benchmark, figure8.run, scale=scale)
     print("\n" + result.format_table())
 
     for name in ("advert", "search"):

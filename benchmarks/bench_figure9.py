@@ -6,11 +6,13 @@ Asserts the paper's shape: added latency grows with target utilization
 and grows steeply (toward milliseconds) as reactivation reaches 100 us.
 """
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import figure9
 
 
 def test_figure9(benchmark, scale):
-    result = run_scenario(benchmark, "figure9", scale).payload
+    result, _ = measure(benchmark, figure9.run, scale=scale)
     print("\n" + result.format_table())
 
     for workload in result.workloads:

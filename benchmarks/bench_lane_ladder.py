@@ -5,11 +5,13 @@ while spending far less total time in reactivation stalls — the payoff
 of pricing CDR-only re-locks at ~100 ns instead of a blanket 1 us.
 """
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import lane_ladder
 
 
 def test_lane_ladder(benchmark, scale):
-    result = run_scenario(benchmark, "lane-ladder", scale).payload
+    result, _ = measure(benchmark, lane_ladder.run, scale=scale)
     print("\n" + result.format_table())
 
     scalar = result.runs["scalar 1us"]

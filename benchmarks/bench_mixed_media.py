@@ -1,10 +1,12 @@
 """Ablation: packaging-aware media pricing (Section 2.2's locality)."""
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import mixed_media
 
 
 def test_mixed_media(benchmark, scale):
-    result = run_scenario(benchmark, "mixed-media", scale).payload
+    result, _ = measure(benchmark, mixed_media.run, scale=scale)
     print("\n" + result.format_table())
 
     for row in result.rows_list:

@@ -1,10 +1,12 @@
 """Section 2.1.1: the over-subscription power/performance trade."""
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import oversubscription
 
 
 def test_oversubscription(benchmark, scale):
-    result = run_scenario(benchmark, "oversubscription", scale).payload
+    result, _ = measure(benchmark, oversubscription.run, scale=scale)
     print("\n" + result.format_table())
 
     by_c = {}

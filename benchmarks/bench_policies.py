@@ -4,11 +4,13 @@ Compares the paper's threshold policy against aggressive, hysteresis and
 predictive variants on the Search workload with independent channels.
 """
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import policies
 
 
 def test_policy_ablation(benchmark, scale):
-    result = run_scenario(benchmark, "policies", scale).payload
+    result, _ = measure(benchmark, policies.run, scale=scale)
     print("\n" + result.format_table())
 
     for summary in result.by_policy.values():

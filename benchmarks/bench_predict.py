@@ -4,22 +4,17 @@ Benchmarks the `repro predict` experiment's core comparison — the
 reactive threshold controller, the EWMA predictive controller, and the
 clairvoyant oracle — on the uniform workload at three offered loads.
 Each point on the frontier is one full discrete-event run, so the
-benchmark also tracks what a predictive sweep costs run-over-run.  The
-batch comes from the shared suite registry (the ``predict-frontier``
-scenario), so the timing here matches the ``BENCH_suite.json`` entry.
+benchmark also tracks what a predictive sweep costs run-over-run.
 
-Besides the pytest-benchmark timings, this module writes a
-``BENCH_predict.json`` artifact (into ``$REPRO_BENCH_DIR`` or the
-working directory) through the shared suite-schema envelope: measured
-power fraction and mean/p99 latency per controller per load, so CI can
-archive how the frontier moves as the subsystem evolves.
+Besides the pytest-benchmark timing, the benchmark records the measured
+power fraction and mean/p99 latency per controller per load in
+``benchmark.extra_info["frontier"]``, so ``--benchmark-json PATH``
+archives how the frontier moves as the subsystem evolves.
 """
 
 from dataclasses import replace
 
-import pytest
-
-from conftest import run_scenario
+from conftest import measure
 
 from repro.experiments.runner import (
     CONTROL_ORACLE,
@@ -27,17 +22,13 @@ from repro.experiments.runner import (
     SimulationSpec,
     baseline_spec,
 )
-from repro.obs.benchsuite import write_bench_artifact
+from repro.experiments.sweep import sweep
 
 #: Offered loads the frontier is sampled at (fractions of bisection).
 LOADS = (0.05, 0.15, 0.30)
 
 BASE = SimulationSpec(k=2, n=3, workload="uniform",
                       duration_ns=1_500_000.0)
-
-#: load -> controller -> point, accumulated by the benchmark below and
-#: dumped once at module teardown.
-_frontier = {}
 
 
 def controller_specs(load):
@@ -62,27 +53,21 @@ def frontier_point(summary):
     }
 
 
-@pytest.fixture(scope="module", autouse=True)
-def bench_predict_artifact():
-    """Write the BENCH_predict.json frontier artifact at teardown."""
-    yield
-    write_bench_artifact("BENCH_predict.json", "predict", {
-        "workload": BASE.workload,
-        "duration_ns": BASE.duration_ns,
-        "frontier": _frontier,
-    })
-
-
 def test_predict_frontier(benchmark):
-    run = run_scenario(benchmark, "predict-frontier")
-    results = run.payload
-    assert run.events > 0
+    specs = {load: controller_specs(load) for load in LOADS}
+    results, events = measure(
+        benchmark, sweep,
+        [spec for by_name in specs.values() for spec in by_name.values()])
+    assert events > 0
 
+    frontier = {}
+    benchmark.extra_info.update(workload=BASE.workload,
+                                duration_ns=BASE.duration_ns,
+                                frontier=frontier)
     for load in LOADS:
-        specs = controller_specs(load)
         points = {name: frontier_point(results[spec])
-                  for name, spec in specs.items()}
-        _frontier[f"{load:g}"] = points
+                  for name, spec in specs[load].items()}
+        frontier[f"{load:g}"] = points
 
         # Sanity, not acceptance: every controlled run must save power
         # over the full-rate baseline, and latency must stay finite.

@@ -5,11 +5,13 @@ and its advantage must appear once reactivations are long enough for
 traffic to pile up behind stalled links.
 """
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import routing_ablation
 
 
 def test_routing_ablation(benchmark, scale):
-    result = run_scenario(benchmark, "routing-ablation", scale).payload
+    result, _ = measure(benchmark, routing_ablation.run, scale=scale)
     print("\n" + result.format_table())
 
     for react in result.reactivations_ns:

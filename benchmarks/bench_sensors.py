@@ -4,13 +4,14 @@ The paper's claim under test: utilization alone is a sufficient demand
 estimator — richer sensors must not beat it by a meaningful margin.
 """
 
-from conftest import run_scenario
+from conftest import measure
 
+from repro.experiments import sensors
 from repro.power.channel_models import IdealChannelPower
 
 
 def test_sensor_ablation(benchmark, scale):
-    result = run_scenario(benchmark, "sensors", scale).payload
+    result, _ = measure(benchmark, sensors.run, scale=scale)
     print("\n" + result.format_table())
 
     utilization = result.runs["utilization"]

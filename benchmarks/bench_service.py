@@ -1,40 +1,38 @@
 """Live control-plane service: decision latency and throughput.
 
-Benchmarks the supervised asyncio service on a fault-free diurnal day
-through the shared suite registry (the ``service-decide`` entry in
-``BENCH_suite.json``), so the wall cost of running the control plane
-is tracked run-over-run alongside the simulator benchmarks.  The
-assertions pin the two service-health numbers the resilience campaign
-gates on: decision latency (p50/p99 in virtual time, a pure function
-of the config's processing costs when no fault backlogs the stream)
-and decisions per virtual second at the ideal fleet rate.
+Benchmarks the supervised asyncio service (ingest, decision ladder,
+journaled actuation, checkpointing) on one fault-free diurnal day in
+virtual time, so the wall cost of running the control plane is tracked
+run-over-run alongside the simulator benchmarks.  The assertions pin
+the two service-health numbers the resilience campaign gates on:
+decision latency (p50/p99 in virtual time, a pure function of the
+config's processing costs when no fault backlogs the stream) and
+decisions per virtual second at the ideal fleet rate.
 
-Also writes a ``BENCH_service.json`` artifact with the latency
-percentiles and throughput, for CI to archive next to the SLO verdict.
+The latency percentiles and throughput also go into
+``benchmark.extra_info``, which ``--benchmark-json PATH`` archives next
+to the SLO verdict.
 """
+
+import dataclasses
 
 import pytest
 
-from conftest import run_scenario
-
 from repro.experiments.service_resilience import CAMPAIGN_CONFIG
-from repro.obs.benchsuite import write_bench_artifact
-
-#: Summary digest captured by the benchmark, dumped at teardown.
-_health = {}
+from repro.service.service import ControlPlaneService
 
 
-@pytest.fixture(scope="module", autouse=True)
-def bench_service_artifact():
-    """Write the BENCH_service.json artifact at teardown."""
-    yield
-    write_bench_artifact("BENCH_service.json", "service", _health)
+def _one_day():
+    config = dataclasses.replace(
+        CAMPAIGN_CONFIG, epochs=CAMPAIGN_CONFIG.epochs_per_day)
+    return ControlPlaneService(config).run()
 
 
 def test_service_decide(benchmark):
-    summary = run_scenario(benchmark, "service-decide").payload
+    summary = benchmark.pedantic(_one_day, rounds=3, iterations=1,
+                                 warmup_rounds=1)
     print("\n[service] " + summary.format_line())
-    _health.update({
+    benchmark.extra_info.update({
         "decisions": summary.decisions,
         "decisions_per_sec": summary.decisions_per_sec,
         "latency_p50_ns": summary.latency_p50_ns,

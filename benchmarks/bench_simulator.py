@@ -1,21 +1,49 @@
 """Simulator microbenchmarks: the engine's raw event throughput.
 
 Not a paper figure — these track the cost of the substrate itself so
-that experiment-level benchmark movements can be attributed correctly.
-Both scenarios come from the shared suite registry, so the numbers here
-are the same ``engine-events`` / ``network-packets`` entries that land
-in ``BENCH_suite.json``.
+that experiment-level benchmark movements can be attributed correctly:
+the bare engine dispatching a chain of no-op events, and one full
+uniform-workload fabric run measured at the engine.  Each records its
+event count in ``benchmark.extra_info["events"]``, so events per second
+is that count over the reported time.
 """
 
-from conftest import run_scenario
+from repro.experiments.runner import SimulationSpec, run_simulation
+from repro.sim.engine import Simulator
+
+#: Events the engine micro dispatches per round.
+ENGINE_EVENTS = 20_000
+
+#: One k=3 n=3 uniform-workload fabric run, no rate control.
+NETWORK_SPEC = SimulationSpec(k=3, n=3, workload="uniform",
+                              duration_ns=300_000.0, seed=1,
+                              control="none", uniform_offered_load=0.2,
+                              message_bytes=65536)
+
+
+def _engine_events():
+    sim = Simulator()
+
+    def chain(remaining):
+        if remaining:
+            sim.schedule(1.0, chain, remaining - 1)
+
+    for _ in range(8):
+        sim.schedule(0.0, chain, ENGINE_EVENTS // 8)
+    sim.run()
+    return sim.events_fired
 
 
 def test_engine_event_throughput(benchmark):
-    run = run_scenario(benchmark, "engine-events")
-    assert run.events >= 20_000
+    events = benchmark.pedantic(_engine_events, rounds=5, iterations=1,
+                                warmup_rounds=1)
+    benchmark.extra_info["events"] = events
+    assert events >= ENGINE_EVENTS
 
 
 def test_network_packet_throughput(benchmark):
-    run = run_scenario(benchmark, "network-packets")
-    assert run.payload.messages_delivered > 0
-    assert run.events > 0
+    summary = benchmark.pedantic(run_simulation, args=(NETWORK_SPEC,),
+                                 rounds=3, iterations=1, warmup_rounds=1)
+    benchmark.extra_info["events"] = summary.events_fired
+    assert summary.messages_delivered > 0
+    assert summary.events_fired > 0

@@ -4,13 +4,13 @@ Regenerates the full table and asserts the paper's exact values, so a
 regression in the analytic models fails the benchmark run loudly.
 """
 
-from conftest import run_scenario
+from conftest import measure
 
 from repro.experiments import table1
 
 
 def test_table1(benchmark):
-    result = run_scenario(benchmark, "table1").payload
+    result, _ = measure(benchmark, table1.run, rounds=3, warmup_rounds=1)
     print("\n" + result.format_table())
 
     assert result.clos["switch_chips"] == 8235

@@ -1,10 +1,12 @@
 """Table 2: InfiniBand data-rate ladder."""
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import table2
 
 
 def test_table2(benchmark):
-    result = run_scenario(benchmark, "table2").payload
+    result, _ = measure(benchmark, table2.run, rounds=3, warmup_rounds=1)
     print("\n" + result.format_table())
     rates = {r.name: r.gbps for r in result.rates}
     assert rates["4x QDR"] == 40.0

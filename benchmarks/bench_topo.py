@@ -7,11 +7,13 @@ partitions) is asserted here as well as frozen in
 ``tests/golden/demand_topology.json``.
 """
 
-from conftest import run_scenario
+from conftest import measure
+
+from repro.experiments import demand_topology
 
 
-def test_demand_topology(benchmark, scale):
-    result = run_scenario(benchmark, "demand-topology", scale).payload
+def test_demand_topology(benchmark):
+    result, _ = measure(benchmark, demand_topology.CAMPAIGN.run)
     print("\n" + result.format_table())
     for line in result.verdict_lines():
         print(line)

@@ -5,14 +5,14 @@ the paper's mechanisms are topology-portable — while each keeps its
 throughput relative to its own baseline.
 """
 
-from conftest import run_scenario
+from conftest import measure
 
+from repro.experiments import topology_comparison
 from repro.power.channel_models import IdealChannelPower
 
 
 def test_topology_comparison(benchmark, scale):
-    result = run_scenario(benchmark, "topology-comparison",
-                          scale).payload
+    result, _ = measure(benchmark, topology_comparison.run, scale=scale)
     print("\n" + result.format_table())
 
     for run in result.fabrics.values():

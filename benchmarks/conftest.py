@@ -1,11 +1,18 @@
 """Benchmark harness configuration.
 
 Each ``bench_*.py`` file regenerates one table or figure of the paper
-(plus ablations), wrapped in pytest-benchmark so the cost of every
-experiment is tracked run-over-run.  Every file routes through the
-shared scenario registry in :mod:`repro.obs.benchsuite` — the same
-scenarios ``repro perf run`` executes — so the pytest benchmarks and
-the ``BENCH_suite.json`` artifact can never drift apart.
+(plus ablations and the simulator, sweep, predictive and service
+layers), wrapped in pytest-benchmark so the cost of every experiment is
+tracked run-over-run while its shape assertions run.  The experiments
+go through :func:`measure`, which pins a private single-worker sweep
+runner with the cache off, so a warm ``~/.cache/repro/sweeps`` can never
+turn a benchmark into a cache read.  What a file wants archived beside
+its timings goes into ``benchmark.extra_info``, which
+``--benchmark-json PATH`` writes out.
+
+The repository's measurement of record (pinned digests, exact
+per-layer counters, measured spread) is ``python3 perfbench/run.py``;
+see ``perfbench/README.md``.
 
 Scale comes from ``REPRO_SCALE`` (small | medium | paper), as everywhere
 else.  Results print with ``pytest benchmarks/ --benchmark-only``.
@@ -16,7 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.scale import current_scale
-from repro.obs.benchsuite import get_scenario
+from repro.experiments.sweep import SweepRunner, using_runner
 
 
 @pytest.fixture(scope="session")
@@ -24,24 +31,22 @@ def scale():
     return current_scale()
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark a heavyweight callable with a single execution."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)
+def measure(benchmark, fn, *args, rounds=1, warmup_rounds=0, **kwargs):
+    """Benchmark ``fn(*args, **kwargs)`` on a private sweep runner.
 
-
-def run_scenario(benchmark, name, scale=None, jobs=None):
-    """Benchmark one registered suite scenario; returns its ScenarioRun.
-
-    The scenario's own warmup/repeat policy drives pytest-benchmark's
-    rounds.  ``jobs=None`` keeps the cpu-count sweep workers the bench
-    files always used (the ``repro perf run`` CLI pins 1 worker for
-    stable timing; here wall clock matters less than turnaround).
+    Every round gets a fresh ``SweepRunner(jobs=1, use_cache=False)``,
+    so each round simulates live.  Returns ``(result, events)``: the
+    last round's result and the engine events its sweeps fired (0 for
+    analytic experiments and for those that run networks without the
+    sweep runner), which also land in ``benchmark.extra_info["events"]``.
     """
-    scenario = get_scenario(name)
-    if scale is None:
-        scale = current_scale()
-    return benchmark.pedantic(
-        scenario.execute, args=(scale,), kwargs={"jobs": jobs},
-        rounds=scenario.repeats, iterations=1,
-        warmup_rounds=scenario.warmup)
+    def execute():
+        runner = SweepRunner(jobs=1, use_cache=False)
+        with using_runner(runner):
+            result = fn(*args, **kwargs)
+        return result, runner.stats.events_fired
+
+    result, events = benchmark.pedantic(
+        execute, rounds=rounds, iterations=1, warmup_rounds=warmup_rounds)
+    benchmark.extra_info["events"] = events
+    return result, events

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -246,6 +247,14 @@ def run_experiment(name: str, scale: ExperimentScale,
     return block
 
 
+def positive_float(text: str) -> float:
+    """argparse type: a finite float strictly greater than zero."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def add_spec_flags(parser: argparse.ArgumentParser) -> None:
     """The one-simulation flags of ``obs export-trace`` and
     ``perf profile``."""
@@ -259,7 +268,8 @@ def add_spec_flags(parser: argparse.ArgumentParser) -> None:
                         help="FBFLY dimensions (default: 3)")
     parser.add_argument("--seed", type=int, default=1,
                         help="workload RNG seed (default: 1)")
-    parser.add_argument("--duration-ns", type=float, default=2_000_000.0,
+    parser.add_argument("--duration-ns", type=positive_float,
+                        default=2_000_000.0,
                         help="simulated duration in ns (default: 2e6)")
     parser.add_argument("--control", default="epoch",
                         choices=["epoch", "none", "always_slowest",
@@ -724,13 +734,10 @@ def build_perf_parser() -> argparse.ArgumentParser:
     """Construct the parser for the ``perf`` subcommand family."""
     parser = argparse.ArgumentParser(
         prog="python -m repro perf",
-        description="Profile the simulation hot path, run the unified "
-                    "benchmark suite and gate against a committed "
-                    "baseline.",
+        description="Profile the simulation hot path.  The repository's "
+                    "benchmark is perfbench/run.py.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list the registered benchmark scenarios")
 
     p_prof = sub.add_parser(
         "profile",
@@ -740,48 +747,6 @@ def build_perf_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--json", type=Path, default=None, metavar="PATH",
                         help="also write the machine-readable perf "
                              "report as JSON")
-
-    p_run = sub.add_parser(
-        "run",
-        help="run the benchmark suite and write a schema-versioned, "
-             "provenance-stamped BENCH_suite.json")
-    p_run.add_argument("scenarios", nargs="*", metavar="SCENARIO",
-                       help="explicit scenario subset (default: every "
-                            "registered scenario)")
-    p_run.add_argument("--quick", action="store_true",
-                       help="only the quick smoke subset (the CI "
-                            "configuration)")
-    p_run.add_argument("--out", type=Path, default=None, metavar="PATH",
-                       help="suite document output path "
-                            "(default: BENCH_suite.json)")
-    p_run.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="override every scenario's repeat count")
-    p_run.add_argument("--warmup", type=int, default=None, metavar="N",
-                       help="override every scenario's warmup count")
-    p_run.add_argument("--history", type=Path, default=None,
-                       metavar="PATH",
-                       help="also append one compact JSONL trajectory "
-                            "line to this history file")
-    p_run.add_argument("--scale", choices=sorted(SCALES), default=None,
-                       help="simulation scale (default: $REPRO_SCALE "
-                            "or 'small')")
-
-    p_cmp = sub.add_parser(
-        "compare",
-        help="compare a candidate suite run against a baseline; exits "
-             "nonzero when any scenario regressed past its band")
-    p_cmp.add_argument("--baseline", type=Path, required=True,
-                       metavar="PATH", help="baseline BENCH_suite.json")
-    p_cmp.add_argument("candidate", type=Path, nargs="?", default=None,
-                       help="candidate BENCH_suite.json (default: run "
-                            "the quick suite in-process)")
-    p_cmp.add_argument("--tolerance", type=float, default=None,
-                       metavar="FRAC",
-                       help="override every scenario's fractional "
-                            "tolerance band")
-    p_cmp.add_argument("--warn-only", action="store_true",
-                       help="report regressions but always exit 0 "
-                            "(CI smoke mode)")
     return parser
 
 
@@ -816,83 +781,14 @@ def _perf_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perf_run(args: argparse.Namespace) -> int:
-    """Implement ``perf run``: execute the suite, write the document."""
-    from repro.obs import benchsuite
-
-    scale = SCALES[args.scale] if args.scale else current_scale()
-    names = args.scenarios or None
-    doc = benchsuite.run_suite(
-        names=names, quick=args.quick, scale=scale,
-        warmup=args.warmup, repeats=args.repeats, progress=print)
-    out = args.out or Path("BENCH_suite.json")
-    benchsuite.write_suite(doc, out)
-    print(f"wrote {out}: {len(doc['scenarios'])} scenario(s), "
-          f"suite_schema={doc['suite_schema']}, "
-          f"git_sha={doc['provenance'].get('git_sha')}")
-    if args.history is not None:
-        benchsuite.append_history(args.history, doc)
-        print(f"appended history line to {args.history}")
-    return 0
-
-
-def _perf_compare(args: argparse.Namespace) -> int:
-    """Implement ``perf compare``: tolerance-band regression gate."""
-    from repro.obs import benchsuite
-
-    try:
-        baseline = benchsuite.read_suite(args.baseline)
-    except FileNotFoundError:
-        print(f"error: perf baseline not found: {args.baseline}\n"
-              f"  expected a committed BENCH_suite.json at that path; "
-              f"generate one with\n"
-              f"  'make perf-baseline' (or 'python -m repro perf run "
-              f"--out {args.baseline}')", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: perf baseline {args.baseline} is unusable: "
-              f"{exc}\n"
-              f"  the schema likely drifted since it was written; "
-              f"regenerate it with 'make perf-baseline'",
-              file=sys.stderr)
-        return 1
-    if args.candidate is not None:
-        candidate = benchsuite.read_suite(args.candidate)
-    else:
-        print("no candidate given; running the quick suite in-process")
-        candidate = benchsuite.run_suite(quick=True, progress=print)
-    comparison = benchsuite.compare_suites(baseline, candidate,
-                                           tolerance=args.tolerance)
-    for line in comparison.format_lines():
-        print(line)
-    if not comparison.ok:
-        print("PERF REGRESSION: candidate exceeded the tolerance band"
-              + (" (warn-only: exiting 0)" if args.warn_only else ""))
-        return 0 if args.warn_only else 1
-    print("perf gate: no scenario regressed past its band")
-    return 0
-
-
 def perf_main(argv) -> int:
     """Entry point for ``python -m repro perf ...``."""
     args = build_perf_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            from repro.obs import benchsuite
-            for name in benchsuite.registered_scenarios():
-                scenario = benchsuite.get_scenario(name)
-                marker = "quick" if scenario.quick else "full "
-                print(f"{name:22s} [{scenario.kind:10s}] [{marker}] "
-                      f"{scenario.description}")
-            return 0
-        if args.command == "profile":
-            return _perf_profile(args)
-        if args.command == "run":
-            return _perf_run(args)
-        return _perf_compare(args)
+        return _perf_profile(args)
     except (OSError, ValueError) as exc:
-        # Missing/corrupt suite documents are user errors, not
-        # tracebacks.
+        # An unwritable --json path or a bad spec is a user error, not
+        # a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

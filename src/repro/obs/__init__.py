@@ -28,20 +28,15 @@ other subsystem reports through:
 - :mod:`repro.obs.profiling` — a
   :class:`~repro.obs.profiling.PerfProfiler` timing every engine event
   and attributing wall-clock to hot-path phases (routing, channel,
-  control, faults, ...), surfaced as ``SimulationSummary.perf``.
-- :mod:`repro.obs.benchsuite` — the unified benchmark suite behind
-  ``repro perf run`` / ``repro perf compare``: one scenario registry
-  covering every ``benchmarks/bench_*.py`` workload, a warmup/repeat
-  runner emitting schema-versioned, provenance-stamped
-  ``BENCH_suite.json`` documents, and the tolerance-band regression
-  detector gating kernel PRs.
+  control, faults, ...), surfaced as ``SimulationSummary.perf`` and
+  by ``repro perf profile``.  The repository's benchmark of record,
+  ``perfbench/run.py``, reads the same profiler.
 
 Only the dependency-free core (metrics, decisions, profiling) is
 re-exported here; import :mod:`repro.obs.runrecord`,
-:mod:`repro.obs.session`, :mod:`repro.obs.trace_export` and
-:mod:`repro.obs.benchsuite` directly — they depend on
-:mod:`repro.experiments` and importing them from the package root would
-cycle.
+:mod:`repro.obs.session` and :mod:`repro.obs.trace_export` directly —
+they depend on :mod:`repro.experiments` and importing them from the
+package root would cycle.
 """
 
 from repro.obs.decisions import Decision, DecisionLog

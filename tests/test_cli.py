@@ -238,30 +238,20 @@ class TestTopoCli:
         assert args.experiment == "demand-topology"
 
 
-class TestPerfCompareErrors:
-    def test_missing_baseline_is_actionable_not_a_traceback(
-            self, tmp_path, capsys):
-        missing = tmp_path / "BENCH_suite.json"
-        assert main(["perf", "compare", "--baseline",
-                     str(missing)]) == 1
-        err = capsys.readouterr().err
-        assert str(missing) in err
-        assert "make perf-baseline" in err
-
-    def test_corrupt_baseline_names_the_fix(self, tmp_path, capsys):
-        bad = tmp_path / "BENCH_suite.json"
-        bad.write_text("{not json")
-        assert main(["perf", "compare", "--baseline", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "unusable" in err
-        assert "make perf-baseline" in err
-
-    def test_schema_drift_is_caught_too(self, tmp_path, capsys):
-        bad = tmp_path / "BENCH_suite.json"
-        bad.write_text('{"schema": 999999}')
-        assert main(["perf", "compare", "--baseline", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "unusable" in err
+class TestSpecFlags:
+    @pytest.mark.parametrize("command", [
+        ["perf", "profile"],
+        ["obs", "export-trace", "--out", "trace.json"],
+    ], ids=["perf-profile", "obs-export-trace"])
+    @pytest.mark.parametrize("duration", ["0", "-1000"])
+    def test_non_positive_duration_is_a_usage_error(
+            self, command, duration, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--duration-ns", duration])
+        assert exc.value.code == 2
+        assert "--duration-ns: must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "trace.json").exists()
 
 
 class TestObsCli:

@@ -1,18 +1,24 @@
-"""Example scripts: syntax, imports and structure.
+"""Example scripts and benchmark modules: syntax, imports and structure.
 
 Full example runs take minutes; the suite verifies they compile, import
 only public API that exists, and expose a ``main()`` — the cheap 90% of
-"the examples are not rotten".
+"the examples are not rotten".  The same goes for ``benchmarks/``,
+which nothing else in the tier-1 suite imports: every ``bench_*.py``
+must collect cleanly.
 """
 
 import ast
 import importlib
+import os
 import pathlib
 import py_compile
+import subprocess
+import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
+REPO_ROOT = pathlib.Path(__file__).parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
@@ -46,3 +52,19 @@ class TestExampleStructure:
                         assert hasattr(module, alias.name), (
                             f"{path.name} imports {alias.name} from "
                             f"{node.module}, which does not exist")
+
+
+def test_benchmarks_collect_cleanly():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", "benchmarks"],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "error" not in out.stdout.lower(), out.stdout
+    collected = [line for line in out.stdout.splitlines()
+                 if line.startswith("benchmarks/bench_")]
+    assert len(collected) >= len(list(
+        (REPO_ROOT / "benchmarks").glob("bench_*.py")))

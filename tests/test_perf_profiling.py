@@ -13,10 +13,14 @@ Mirrors the contracts in ``test_obs_overhead.py`` for the new
 3. **The report is coherent**: per-phase event counts sum to the
    engine's event counter, shares sum to ~1, and the Perfetto export
    gains validating wall-clock counter tracks.
+4. **The CLI surfaces it**: ``repro perf profile`` prints the phase
+   table and writes the JSON report.
 """
 
+import json
 import time
 
+from repro.cli import main
 from repro.experiments.cache import summary_digest, summary_to_dict
 from repro.experiments.runner import SimulationSpec, run_simulation
 from repro.obs.profiling import PHASES, PerfProfiler, classify_callback
@@ -173,8 +177,6 @@ class TestProfilerUnit:
         assert PerfProfiler(sample_every=0).samples == []
 
     def test_report_is_json_safe(self):
-        import json
-
         telemetry = Telemetry.profiled()
         run_simulation(SPEC, telemetry=telemetry)
         json.dumps(telemetry.profiler.report())
@@ -185,3 +187,17 @@ class TestProfilerUnit:
         table = telemetry.profiler.format_table()
         assert "events fired" in table
         assert "channel" in table
+
+
+class TestCli:
+    def test_perf_profile_prints_phase_table(self, tmp_path, capsys):
+        report_path = tmp_path / "perf.json"
+        code = main(["perf", "profile", "--k", "2", "--n", "2",
+                     "--duration-ns", "150000",
+                     "--json", str(report_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "events fired" in out
+        report = json.loads(report_path.read_text())
+        assert report["events_fired"] > 0
+        assert report["spec"]["k"] == 2
