@@ -14,6 +14,9 @@
   harness.
 - :mod:`repro.core.dynamic_topology` — the Section 5.1 dynamic-topology
   controller (FBFLY <-> torus <-> mesh by powering links off).
+- :mod:`repro.core.gating` — the link-gating base, channel power-off/on
+  helpers and connectivity guard shared by the fault-gating and
+  demand-aware topology controllers.
 """
 
 from repro.core.policies import (

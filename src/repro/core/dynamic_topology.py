@@ -38,6 +38,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.core.gating import drain_off, finish_drains, power_up
 from repro.obs.decisions import (
     Decision,
     DecisionLog,
@@ -251,18 +252,11 @@ class DynamicTopologyController:
 
     def _apply_mode(self) -> None:
         off_classes = _OFF_CLASSES[self.mode]
-        for ch, cls in self._channel_class.items():
-            should_be_off = cls in off_classes
-            if should_be_off and not ch.is_off:
-                ch.draining = True
-            elif not should_be_off:
-                if ch.is_off:
-                    ch.power_on(self.config.reactivation_ns)
-                else:
-                    ch.draining = False
+        power_up((ch for ch, cls in self._channel_class.items()
+                  if cls not in off_classes), self.config.reactivation_ns)
+        drain_off(ch for ch, cls in self._channel_class.items()
+                  if cls in off_classes)
 
     def _drain_pass(self) -> None:
         """Power off every draining channel that has emptied."""
-        for ch in self._channel_class:
-            if ch.draining and ch.drained and not ch.is_off:
-                ch.power_off()
+        finish_drains(self._channel_class)

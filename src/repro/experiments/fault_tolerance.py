@@ -16,7 +16,7 @@ uniform load, under three control planes:
   links, and together with the injected faults it partitions the
   fabric and drops traffic;
 - **fault_pinned** — the same gating policy guarded by a
-  :class:`~repro.faults.policy.SpanningSetGuard` pinning the
+  :class:`~repro.core.gating.ConnectivityGuard` pinning the
   per-dimension ring at minimum-rate-on, with a queue-occupancy
   sensor cross-check.
 

@@ -1,7 +1,7 @@
 """The fault-campaign subsystem: scenarios, sensors, guard, policy.
 
 Covers the declarative :class:`~repro.faults.scenario.FaultScenario`
-DSL, the deterministic sensor-corruption wrapper, the spanning-set
+DSL, the deterministic sensor-corruption wrapper, the pinned-ring
 guard, the fault-aware gating controller, and the graceful-degradation
 contract (drops accounted, partitions detected, strict mode raising).
 """
@@ -13,10 +13,10 @@ import pytest
 from repro.core.controller import ControllerConfig
 from repro.core.policies import DemandLadderPolicy
 from repro.core.sensors import GroupReading, UtilizationSensor
+from repro.core.gating import ConnectivityGuard
 from repro.faults.policy import (
     FaultAwareEpochController,
     GatingConfig,
-    SpanningSetGuard,
 )
 from repro.faults.scenario import (
     FaultScenario,
@@ -41,6 +41,7 @@ from repro.sim.invariants import (
 )
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
+from repro.topology.mesh_torus import torus_link_set
 
 
 def make_network(k=4, n=2, seed=13):
@@ -205,31 +206,29 @@ class TestFaultySensor:
         assert not all(a.affected(g) for g in groups)
 
 
-class TestSpanningSetGuard:
+class TestPinnedRing:
     def test_ring_links_cover_every_switch(self):
         net = make_network(k=4, n=2)
-        guard = SpanningSetGuard(net, mode="ring")
-        ring = guard.ring_links()
+        ring = ConnectivityGuard(net).refresh(all_links(net))
+        touched = {s for link in ring for s in link}
+        assert touched == set(range(net.topology.num_switches))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ring_over_all_links_is_the_torus_link_set(self, k, n):
+        net = make_network(k=k, n=n)
+        ring = ConnectivityGuard(net).refresh(all_links(net))
+        assert ring == torus_link_set(net.topology)
         touched = {s for link in ring for s in link}
         assert touched == set(range(net.topology.num_switches))
 
     def test_refresh_drops_unavailable_links(self):
         net = make_network(k=4, n=2)
-        guard = SpanningSetGuard(net, mode="ring")
+        guard = ConnectivityGuard(net)
         full = guard.refresh(all_links(net))
         dead = next(iter(sorted(full)))
         reduced = guard.refresh([l for l in all_links(net) if l != dead])
         assert dead in full and dead not in reduced
-
-    def test_tree_mode_spans_with_minimum_edges(self):
-        net = make_network(k=4, n=2)
-        guard = SpanningSetGuard(net, mode="tree")
-        pinned = guard.refresh(all_links(net))
-        assert len(pinned) == net.topology.num_switches - 1
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SpanningSetGuard(make_network(), mode="mesh")
 
 
 def make_controller(net, guard=None, gating=None, log=None):
@@ -256,7 +255,7 @@ class TestFaultAwareController:
 
     def test_guard_refuses_to_gate_the_ring(self):
         net = make_network()
-        guard = SpanningSetGuard(net, mode="ring")
+        guard = ConnectivityGuard(net)
         controller = make_controller(net, guard=guard)
         net.run(until_ns=20_000.0)
         assert controller.pinned_holds > 0
