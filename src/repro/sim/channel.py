@@ -97,6 +97,10 @@ class Channel:
         #: derouted ahead of power-off: no new traffic is accepted, the
         #: queue drains, then the channel can be powered down.
         self.draining = False
+        #: Set by the link-fault injector while the link is failed:
+        #: controllers must not power a failed channel back on; only
+        #: the repair clears it.
+        self.failed = False
         # Invalidates in-flight reactivation-complete events whenever the
         # channel is reconfigured again or powered off underneath them.
         self._react_token = 0

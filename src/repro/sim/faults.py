@@ -176,6 +176,9 @@ class LinkFaultInjector:
             old_rate = forward.rate_gbps
         for src, dst in ((a, b), (b, a)):
             channel = self.network.switch_channel(src, dst)
+            # Marked even when already dark (gated or topology-off), so
+            # no controller wake powers the failed link back on.
+            channel.failed = True
             record.stranded_packets += self._hard_down(channel, src, record)
         self.faults_applied += 1
         self._log_fault("fault_down", a, b, old_rate=old_rate,
@@ -250,6 +253,7 @@ class LinkFaultInjector:
         new_rate = None
         for src, dst in ((a, b), (b, a)):
             channel = self.network.switch_channel(src, dst)
+            channel.failed = False
             if channel.is_off:
                 channel.power_on(reactivation_ns=1000.0)
             else:

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core.controller import ControllerConfig, EpochController
+from repro.core.policies import DemandLadderPolicy
+from repro.faults.policy import FaultAwareEpochController, GatingConfig
 from repro.routing.restricted import RestrictedAdaptiveRouting
 from repro.sim.faults import LinkFaultInjector
 from repro.sim.network import FbflyNetwork, NetworkConfig
+from repro.topo.controller import DemandAwareTopologyController
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.units import MS, US
 
@@ -91,6 +94,54 @@ class TestRepairInteractions:
 def hosts_on_switch(net, switch_id):
     return [h for h in range(net.topology.num_hosts)
             if net.topology.host_switch(h) == switch_id]
+
+
+def _gated(net, config):
+    # Probes a gated link awake five epochs after it sleeps.
+    return FaultAwareEpochController(
+        net, policy=DemandLadderPolicy(0.5), config=config,
+        gating=GatingConfig(idle_epochs=2, sleep_epochs=5))
+
+
+def _demand_topo(net, config):
+    # Wakes a dark link once its endpoints' demand returns.
+    return DemandAwareTopologyController(
+        net, policy=DemandLadderPolicy(0.5), config=config)
+
+
+class TestFailureWhileDark:
+    """A link that fails while a controller holds it powered off stays
+    off until its repair: neither the gating sleep probe nor the
+    topology wake may power the failed link back on."""
+
+    @pytest.mark.parametrize("build", [_gated, _demand_topo],
+                             ids=["fault_gated", "demand_topo"])
+    def test_failed_dark_link_carries_nothing_before_repair(self, build):
+        net = make_network()
+        controller = build(net, ControllerConfig(epoch_ns=1_000.0,
+                                                 reactivation_ns=100.0))
+        injector = LinkFaultInjector(net)
+        net.run(until_ns=10_000.0)   # idle: the express link goes dark
+        fwd, rev = net.switch_channel(0, 2), net.switch_channel(2, 0)
+        assert fwd.is_off and rev.is_off
+        injector.fail_link(10_500.0, 0, 2)   # permanent
+        net.run(until_ns=11_000.0)
+        sent = fwd.stats.bytes_sent + rev.stats.bytes_sent
+        left, right = hosts_on_switch(net, 0), hosts_on_switch(net, 2)
+        for i in range(200):
+            t = 11_000.0 + i * 200.0
+            net.submit(t, src=left[i % 4], dst=right[i % 4],
+                       size_bytes=4096)
+            net.submit(t, src=right[i % 4], dst=left[i % 4],
+                       size_bytes=4096)
+        net.run(until_ns=100_000.0)
+        assert injector.repairs_applied == 0
+        assert fwd.is_off and rev.is_off
+        assert fwd.stats.bytes_sent + rev.stats.bytes_sent == sent
+        # The controller no longer claims the failed link as its own.
+        group = next(g for g in controller._candidates()
+                     if controller._endpoints[g.name] == (0, 2))
+        assert controller._fault_dark(group)
 
 
 class TestSimultaneousChipAndLinkFaults:
