@@ -69,6 +69,14 @@ class ControllerConfig:
             return self.epoch_ns
         return 10.0 * self.reactivation_ns
 
+    @classmethod
+    def for_spec(cls, spec) -> "ControllerConfig":
+        """The timing a :class:`~repro.experiments.runner.
+        SimulationSpec` asks for (control-mode builders use this)."""
+        return cls(epoch_ns=spec.epoch_ns,
+                   reactivation_ns=spec.reactivation_ns,
+                   independent_channels=spec.independent_channels)
+
 
 class EpochController:
     """Samples utilization each epoch and retunes every control group.

@@ -221,11 +221,7 @@ def _build_epoch_controller(network, spec, decision_log):
     return EpochController(
         network,
         policy=spec.build_policy(),
-        config=ControllerConfig(
-            epoch_ns=spec.epoch_ns,
-            reactivation_ns=spec.reactivation_ns,
-            independent_channels=spec.independent_channels,
-        ),
+        config=ControllerConfig.for_spec(spec),
         decision_log=decision_log,
     )
 

@@ -60,14 +60,6 @@ CONTROL_PREDICT = "predict"
 CONTROL_ORACLE = "oracle"
 
 
-def _controller_config(spec) -> ControllerConfig:
-    return ControllerConfig(
-        epoch_ns=spec.epoch_ns,
-        reactivation_ns=spec.reactivation_ns,
-        independent_channels=spec.independent_channels,
-    )
-
-
 def _build_predictive(network, spec, decision_log):
     """Control-mode builder for ``control="predict"`` specs."""
     return PredictiveEpochController(
@@ -75,7 +67,7 @@ def _build_predictive(network, spec, decision_log):
         forecaster=build_forecaster(spec.forecaster or "last_value"),
         headroom=spec.headroom,
         policy=spec.build_policy(),
-        config=_controller_config(spec),
+        config=ControllerConfig.for_spec(spec),
         decision_log=decision_log,
     )
 
@@ -90,7 +82,7 @@ def _build_oracle(network, spec, decision_log):
         network,
         schedule=measure_demand(spec),
         headroom=spec.headroom,
-        config=_controller_config(spec),
+        config=ControllerConfig.for_spec(spec),
         decision_log=decision_log,
     )
 

@@ -34,6 +34,7 @@ from repro.obs.decisions import (
     Decision,
     DecisionLog,
 )
+from repro.sim.faults import LinkFaultInjector
 from repro.sim.network import FbflyNetwork, NetworkConfig
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.units import US
@@ -189,6 +190,15 @@ class TestDeadmanWatchdog:
         assert gg.raw.current_rate == guard.floor
         assert guard.deadman_floors >= 1
         assert log.reason_counts[FAILSAFE_DEADMAN] >= 1
+
+    def test_deadman_leaves_a_failed_link_for_its_repair(self):
+        net, ctrl, _, guard = make_guarded()
+        ctrl.stop()
+        LinkFaultInjector(net).fail_link(1_000.0, 0, 1)
+        net.run(until_ns=100.0 * US)
+        assert net.switch_channel(0, 1).is_off
+        assert net.switch_channel(1, 0).is_off
+        assert guard.deadman_floors == 0
 
     def test_deadman_never_lowers_a_live_links_rate(self):
         net, ctrl, _, guard = make_guarded()
