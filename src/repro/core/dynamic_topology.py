@@ -15,11 +15,12 @@ true power-off state:
 - Every epoch the controller measures delivered inter-switch bandwidth
   relative to the *powered* capacity and moves one mode up or down the
   MESH -> TORUS -> FBFLY ladder when it crosses the thresholds.
-- Powering a link *down* is a two-phase drain: the channel is first
-  marked ``draining`` so routing (which must use
+- Powering a link *down* is a two-phase drain: the controller claims
+  the channel off, so routing (which must use
   :class:`~repro.routing.restricted.RestrictedAdaptiveRouting`) stops
   offering it and its output queue empties; it is switched off once
-  drained.  Powering *up* pays a normal reactivation.
+  drained.  Powering *up* releases the claim (a fault's may remain)
+  and pays a normal reactivation.
 
 Host links are never powered off — a host would be disconnected.
 
@@ -38,7 +39,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.core.gating import drain_off, finish_drains, power_up
 from repro.obs.decisions import (
     Decision,
     DecisionLog,
@@ -139,7 +139,6 @@ class DynamicTopologyController:
         }
         self._stopped = False
         self._apply_mode()
-        self._drain_pass()
         self._event = network.sim.schedule(config.epoch_ns, self._on_epoch,
                                            daemon=True)
 
@@ -176,7 +175,8 @@ class DynamicTopologyController:
                 and backlog < threshold / 4.0
                 and self.mode > TopologyMode.MESH):
             self._set_mode(TopologyMode(self.mode - 1))
-        self._drain_pass()
+        for ch in self._channel_class:
+            ch.finish_drain()
         self._event = self.network.sim.schedule(
             self.config.epoch_ns, self._on_epoch, daemon=True)
 
@@ -252,11 +252,8 @@ class DynamicTopologyController:
 
     def _apply_mode(self) -> None:
         off_classes = _OFF_CLASSES[self.mode]
-        power_up((ch for ch, cls in self._channel_class.items()
-                  if cls not in off_classes), self.config.reactivation_ns)
-        drain_off(ch for ch, cls in self._channel_class.items()
-                  if cls in off_classes)
-
-    def _drain_pass(self) -> None:
-        """Power off every draining channel that has emptied."""
-        finish_drains(self._channel_class)
+        for ch, cls in self._channel_class.items():
+            if cls in off_classes:
+                ch.claim_off(self.name)
+            else:
+                ch.release(self.name, self.config.reactivation_ns)

@@ -61,7 +61,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.gating import power_up
 from repro.obs.decisions import (
     CONTROL_FAULT_RESTART,
     FAILSAFE_DEADMAN,
@@ -318,10 +317,7 @@ class FailsafeGuard:
         st = group._st
         raw = group.raw
         streak = getattr(group._inner, "lost_streak", 0)
-        # Failed channels are the fault injector's: no wake brings
-        # them back before the repair.
-        dark = any((ch.is_off or ch.draining) and not ch.failed
-                   for ch in raw.channels)
+        dark = self._held_dark(raw)
         if down or streak > self.config.staleness_ttl_epochs:
             # Deadman: nobody can verify this group is safe to leave
             # dark.  Force it on at (at least) the floor; never lower
@@ -331,7 +327,7 @@ class FailsafeGuard:
                 self.deadman_floors += 1
             else:
                 self._maybe_relieve(group, raw)
-            self._release_gate(group.name)
+                self._release_gate(group)
             return
         if streak > 0:
             # Inside the staleness TTL: if gating powered the group
@@ -341,7 +337,6 @@ class FailsafeGuard:
                         else self.floor)
                 self._wake(group, rate, FAILSAFE_HOLD)
                 self.holds += 1
-                self._release_gate(group.name)
             else:
                 self._maybe_relieve(group, raw)
             return
@@ -351,7 +346,7 @@ class FailsafeGuard:
 
     def _maybe_recover(self, group: GuardedGroup, raw, st) -> None:
         """Wake groups a crashed-and-restarted controller forgot."""
-        if not raw.is_off:
+        if not raw.is_off or not self._held_dark(raw):
             return
         record = self._journal.get(group.name)
         if record is None or record[0] != "off":
@@ -363,7 +358,6 @@ class FailsafeGuard:
                 else self.floor)
         self._wake(group, rate, FAILSAFE_RECOVERED)
         self.recoveries += 1
-        self._release_gate(group.name)
 
     def _maybe_retry(self, group: GuardedGroup, raw, st,
                      epoch: int) -> None:
@@ -431,22 +425,33 @@ class FailsafeGuard:
 
     # -- safety actions ----------------------------------------------------
 
+    def _held_dark(self, raw) -> bool:
+        """Dark by the controller's claim alone?  A failed channel waits
+        for its repair."""
+        return any(ch.claims == {self.controller.name}
+                   for ch in raw.channels)
+
     def _wake(self, group: GuardedGroup, rate_gbps: float,
               reason: str) -> None:
         """Power a dark group back on at ``rate_gbps`` (switch-local:
         acts on the raw channels, not the lossy command path)."""
-        power_up(group.raw.channels, self.reactivation_ns,
-                 rate_gbps=rate_gbps)
+        self._release_gate(group, rate_gbps)
         # Controller decisions for this group restart from scratch.
         group._st.intended_rate = None
         self._journal_put(group.name, ("on", self.sim.now))
         self._log(group, reason, old_rate=None, new_rate=rate_gbps,
                   changed=False)
 
-    def _release_gate(self, name: str) -> None:
+    def _release_gate(self, group: GuardedGroup,
+                      rate_gbps: Optional[float] = None) -> None:
+        """Drop the controller's claim on the group's channels (lighting
+        those it alone held) and from the controller's memory."""
+        for ch in group.raw.channels:
+            ch.release(self.controller.name, self.reactivation_ns,
+                       rate_gbps=rate_gbps)
         release = getattr(self.controller, "release_gate", None)
         if release is not None:
-            release(name)
+            release(group.name)
 
     # -- audit -------------------------------------------------------------
 

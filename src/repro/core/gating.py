@@ -5,20 +5,21 @@ Both power-off controllers —
 gating) and :class:`~repro.topo.controller.DemandAwareTopologyController`
 (demand-matrix topology control) — sit on this module:
 
-- :func:`drain_off`, :func:`finish_drains` and :func:`power_up`: the
-  two-phase power-off (deroute, let the queue empty, switch off) and
-  its inverse, also used by the dynamic-topology controller and the
-  failsafe guard's wakes;
 - :class:`ConnectivityGuard`: pins the per-dimension ring and vetoes
   any power-off that would leave the usable links disconnected;
 - :class:`LinkGatingController`: the shared dark-link bookkeeping, the
   pre-epoch pass hook and the ``changed=False`` power-event records.
 
-The dark set is volatile: a cold restart forgets which groups this
-controller darkened — the stranded-group hazard
-:class:`repro.core.failsafe.FailsafeGuard` journals power events to
-recover from (it wakes the group and calls
-:meth:`LinkGatingController.release_gate`).
+The channel decides whether it is lit, from its off-claims
+(:meth:`repro.sim.channel.Channel.claim_off`): the controller claims a
+group off under its ``name``, finishes its drains at the epoch boundary
+and releases the claim to wake it; a link a fault also claims stays off.
+
+The dark set is the controller's volatile memory of its claims: a cold
+restart forgets it while the claims stay on the channels — the
+stranded-group hazard :class:`repro.core.failsafe.FailsafeGuard`
+journals power events to recover from (it releases the controller's
+claim and calls :meth:`LinkGatingController.release_gate`).
 """
 
 from __future__ import annotations
@@ -30,42 +31,6 @@ from repro.obs.decisions import Decision
 from repro.topology.mesh_torus import torus_link_set
 
 Link = Tuple[int, int]
-
-
-def drain_off(channels: Iterable) -> None:
-    """Deroute every lit channel; power off those already drained.
-
-    A channel with traffic queued or on the serializer stays
-    ``draining`` (routing no longer offers it) until
-    :func:`finish_drains` sees it empty.
-    """
-    for ch in channels:
-        if not ch.is_off:
-            ch.draining = True
-            if ch.drained:
-                ch.power_off()
-
-
-def finish_drains(channels: Iterable) -> None:
-    """Power off every draining channel that has emptied."""
-    for ch in channels:
-        if not ch.is_off and ch.draining and ch.drained:
-            ch.power_off()
-
-
-def power_up(channels: Iterable, reactivation_ns: float,
-             rate_gbps: Optional[float] = None) -> None:
-    """Bring channels back: power on the dark ones (paying
-    ``reactivation_ns``, at ``rate_gbps`` if given), cancel the drain
-    on the rest.  A failed channel is left alone: only its repair
-    brings it back."""
-    for ch in channels:
-        if ch.failed:
-            continue
-        if ch.is_off:
-            ch.power_on(reactivation_ns, rate_gbps=rate_gbps)
-        else:
-            ch.draining = False
 
 
 class ConnectivityGuard:
@@ -170,18 +135,18 @@ class LinkGatingController(EpochController):
                 if self._endpoints.get(g.name) is not None]
 
     def _fault_dark(self, group) -> bool:
-        """Down for reasons outside our own power-off decisions?  A
-        failed link is, even one we had darkened before it failed."""
+        """Down for reasons outside our own power-off decisions?  Any
+        other owner's claim is, even on a group we darkened; so is a
+        claim of ours that ``_dark`` no longer accounts for."""
         if group.name in self._dark:
-            return any(ch.failed for ch in group.channels)
-        return any(ch.is_off or ch.draining for ch in group.channels)
+            return any(ch.claims - {self.name} for ch in group.channels)
+        return any(not ch.usable for ch in group.channels)
 
     def _usable_links(self) -> Set[Link]:
-        """Links routing can use right now: lit and not fault-dark."""
+        """Links routing can use right now: no owner claims them off."""
         return {self._endpoints[group.name]
                 for group in self._candidates()
-                if group.name not in self._dark
-                and not self._fault_dark(group)}
+                if all(ch.usable for ch in group.channels)}
 
     def _refresh_guard(self) -> None:
         self.guard.refresh([self._endpoints[group.name]
@@ -203,7 +168,7 @@ class LinkGatingController(EpochController):
         self._dark.clear()
 
     def release_gate(self, name: str) -> None:
-        """Drop the dark claim on a group an external actor woke (the
+        """Forget a group whose claim an external actor released (the
         failsafe guard, after recovering a stranded group), so the
         controller does not immediately re-drain it."""
         self._dark.discard(name)
@@ -235,7 +200,8 @@ class LinkGatingController(EpochController):
     def _finish_drains(self) -> None:
         for group in self._candidates():
             if group.name in self._dark:
-                finish_drains(group.channels)
+                for ch in group.channels:
+                    ch.finish_drain()
 
     def _wake_pinned(self, ladder) -> None:
         """Wake dark groups the guard now pins: faults made them part
@@ -245,16 +211,19 @@ class LinkGatingController(EpochController):
                 self._wake(group, ladder)
 
     def _power_off(self, group) -> None:
-        """Drain the group toward off and claim it dark."""
-        drain_off(group.channels)
+        """Claim the group off (it drains first) and remember it dark."""
+        for ch in group.channels:
+            ch.claim_off(self.name)
         self._dark.add(group.name)
 
-    def _wake(self, group, ladder) -> None:
-        """Power the group back on at the ladder minimum; drop the
-        dark claim."""
-        power_up(group.channels, self.config.reactivation_ns,
-                 rate_gbps=ladder.min_rate)
+    def _wake(self, group, ladder) -> bool:
+        """Release our claim and forget the group; True if a channel lit
+        (at the ladder minimum) — one a fault still claims stays off."""
+        lit = [ch.release(self.name, self.config.reactivation_ns,
+                          rate_gbps=ladder.min_rate)
+               for ch in group.channels]
         self._dark.discard(group.name)
+        return any(lit)
 
     def _log_power_event(self, group, reason: str,
                          old_rate: Optional[float],

@@ -33,11 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.controller import ControllerConfig
-from repro.core.gating import (
-    ConnectivityGuard,
-    LinkGatingController,
-    finish_drains,
-)
+from repro.core.gating import ConnectivityGuard, LinkGatingController
 from repro.obs.decisions import (
     Decision,
     GATED_OFF,
@@ -119,20 +115,23 @@ class FaultAwareEpochController(LinkGatingController):
                     self._wake(group, ladder)
             else:
                 # Still draining toward off; finish what has drained.
-                finish_drains(group.channels)
+                for ch in group.channels:
+                    ch.finish_drain()
         if self.guard is not None:
             self._refresh_guard()
             # The guard may now need a link gating already took down
             # (or started draining): bring it back.
             self._wake_pinned(ladder)
 
-    def _wake(self, group, ladder) -> None:
-        super()._wake(group, ladder)
+    def _wake(self, group, ladder) -> bool:
+        lit = super()._wake(group, ladder)
         self._asleep.pop(group.name, None)
         self._idle[group.name] = 0
-        self.gated_wakes += 1
-        self._log_power_event(group, GATED_WAKE, old_rate=None,
-                              new_rate=ladder.min_rate)
+        if lit:
+            self.gated_wakes += 1
+            self._log_power_event(group, GATED_WAKE, old_rate=None,
+                                  new_rate=ladder.min_rate)
+        return lit
 
     # ------------------------------------------------------------------
 

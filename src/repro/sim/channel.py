@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import collections
 import enum
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Deque, FrozenSet, Optional, Set, TYPE_CHECKING
 
 from repro.power.link_rates import RateLadder, DEFAULT_RATE_LADDER
 from repro.sim.engine import Simulator
@@ -40,7 +40,7 @@ class ChannelState(enum.Enum):
 
     ACTIVE = "active"
     REACTIVATING = "reactivating"
-    #: Powered off by the dynamic-topology controller (Section 5.1).
+    #: Powered off while some owner claims it (:meth:`Channel.claim_off`).
     OFF = "off"
 
 
@@ -93,14 +93,8 @@ class Channel:
         # as the stats accounting key instead of the scalar rate.
         self._mode = None
         self._pending_mode = None
-        #: Set by the dynamic-topology controller while a channel is being
-        #: derouted ahead of power-off: no new traffic is accepted, the
-        #: queue drains, then the channel can be powered down.
-        self.draining = False
-        #: Set by the link-fault injector while the link is failed:
-        #: controllers must not power a failed channel back on; only
-        #: the repair clears it.
-        self.failed = False
+        # Owners that want the channel off; see claim_off / release.
+        self._claims: Set[str] = set()
         # Invalidates in-flight reactivation-complete events whenever the
         # channel is reconfigured again or powered off underneath them.
         self._react_token = 0
@@ -149,7 +143,18 @@ class Channel:
     @property
     def usable(self) -> bool:
         """May routing offer this channel as a candidate?"""
-        return self.state is not ChannelState.OFF and not self.draining
+        return not self._claims and self.state is not ChannelState.OFF
+
+    @property
+    def claims(self) -> FrozenSet[str]:
+        """Owners currently holding an off-claim on this channel."""
+        return frozenset(self._claims)
+
+    @property
+    def draining(self) -> bool:
+        """Claimed off but still powered: routing no longer offers the
+        channel while its queue and serializer empty."""
+        return bool(self._claims) and self.state is not ChannelState.OFF
 
     @property
     def drained(self) -> bool:
@@ -170,8 +175,8 @@ class Channel:
 
     def can_enqueue(self, size_bytes: int) -> bool:
         """True if the output queue has room for ``size_bytes`` and the
-        channel is not powered off."""
-        if not self.usable:
+        channel is usable."""
+        if self._claims or self.state is ChannelState.OFF:
             return False
         return self._queue_bytes + size_bytes <= self.queue_capacity_bytes
 
@@ -193,7 +198,8 @@ class Channel:
         self._try_send()
 
     # ------------------------------------------------------------------
-    # Rate control (used by the epoch controller)
+    # Rate and power control (used by the controllers and the fault
+    # injector)
     # ------------------------------------------------------------------
 
     def set_rate(self, rate_gbps: float, reactivation_ns: float,
@@ -232,11 +238,39 @@ class Channel:
             self._begin_reactivation()
         return True
 
+    def claim_off(self, owner: str) -> None:
+        """Claim the channel off for ``owner``: routing stops offering
+        it at once, and it powers off now if drained, else at the first
+        :meth:`finish_drain` that finds it empty.  It stays off until
+        every owner has released its claim."""
+        self._claims.add(owner)
+        self.finish_drain()
+
+    def finish_drain(self) -> bool:
+        """Power off a claimed channel that has drained; True once the
+        channel is off."""
+        if self.draining and self.drained:
+            self.power_off()
+        return self.state is ChannelState.OFF
+
+    def release(self, owner: str, reactivation_ns: float,
+                rate_gbps: Optional[float] = None) -> bool:
+        """Drop ``owner``'s off-claim; True if that made the channel
+        usable.  Only the last release brings it back: powered on
+        (paying ``reactivation_ns``, at ``rate_gbps`` if given) or, if
+        still draining, its drain cancelled."""
+        if owner not in self._claims:
+            return False
+        self._claims.remove(owner)
+        if not self._claims and self.state is ChannelState.OFF:
+            self.power_on(reactivation_ns, rate_gbps=rate_gbps)
+        return not self._claims
+
     def power_off(self) -> None:
         """Power the channel down entirely (dynamic topologies, §5.1).
 
-        Only legal when idle and drained; the dynamic-topology controller
-        deroutes traffic first.
+        Only legal when idle and drained.  The owners of a link's power
+        state go through :meth:`claim_off`, which deroutes first.
         """
         if not self.drained:
             raise RuntimeError(f"cannot power off {self.name} with traffic queued")
@@ -244,7 +278,6 @@ class Channel:
             self.probe.on_rate_change(self, self._rate, None)
         self.stats.account_rate_change(self.sim.now, None)
         self.state = ChannelState.OFF
-        self.draining = False
         self._react_token += 1
 
     def power_on(self, reactivation_ns: float,
@@ -260,7 +293,6 @@ class Channel:
             self.probe.on_rate_change(self, None, self._rate)
         self.stats.account_rate_change(self.sim.now, self._rate)
         self.state = ChannelState.REACTIVATING
-        self.draining = False
         self.stats.reactivations += 1
         self.stats.reactivation_ns_total += reactivation_ns
         self._react_token += 1

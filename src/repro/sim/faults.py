@@ -13,6 +13,10 @@ controller's graceful drain, a fault strands whatever sat in the output
 queue, which the injector re-routes through the owning switch, modelling
 link-level retransmission from the sender's buffer.
 
+A failed link holds the injector's off-claim (:data:`FAULT_OWNER`); a
+repair releases only that claim, so a link a controller holds dark
+stays dark until that controller wakes it.
+
 Degradation semantics (the fault-campaign contract):
 
 - A packet with no usable route is **dropped**, not a crash: the
@@ -43,6 +47,12 @@ from repro.sim.invariants import reachable_switches, switch_components
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.fabric import Fabric
+
+#: The injector's owner name in a failed channel's off-claims.
+FAULT_OWNER = "fault"
+
+#: Reactivation a repaired link pays when it powers back on.
+REPAIR_REACTIVATION_NS = 1000.0
 
 
 @dataclass
@@ -176,9 +186,6 @@ class LinkFaultInjector:
             old_rate = forward.rate_gbps
         for src, dst in ((a, b), (b, a)):
             channel = self.network.switch_channel(src, dst)
-            # Marked even when already dark (gated or topology-off), so
-            # no controller wake powers the failed link back on.
-            channel.failed = True
             record.stranded_packets += self._hard_down(channel, src, record)
         self.faults_applied += 1
         self._log_fault("fault_down", a, b, old_rate=old_rate,
@@ -186,18 +193,15 @@ class LinkFaultInjector:
 
     def _hard_down(self, channel: Channel, owner_switch: int,
                    record: FaultRecord) -> int:
-        """Force a channel off, re-injecting its queued packets."""
-        if channel.is_off:
-            return 0
+        """Claim a channel off without a drain (even one already dark),
+        re-injecting its queued packets."""
         stranded = list(channel._queue)
         channel._queue.clear()
         channel._queue_bytes = 0
         # An in-flight packet is considered delivered (its last bit may
         # already be on the wire); only queued packets are re-routed.
-        channel.draining = True
-        if channel.drained:
-            channel.power_off()
-        else:
+        channel.claim_off(FAULT_OWNER)
+        if not channel.is_off:
             # Serializer busy: power down the moment it finishes.
             self._defer_power_off(channel, record)
         switch = self.network.switches[owner_switch]
@@ -213,11 +217,8 @@ class LinkFaultInjector:
 
         def attempt():
             nonlocal budget
-            if channel.is_off or not channel.draining:
-                return  # powered off, or repaired in the meantime
-            if channel.drained:
-                channel.power_off()
-                return
+            if FAULT_OWNER not in channel.claims or channel.finish_drain():
+                return  # repaired in the meantime, or now off
             budget -= 1
             if budget <= 0:
                 # Give up: the channel stays draining (unusable) until
@@ -250,15 +251,13 @@ class LinkFaultInjector:
         chosen.enqueue(packet, force=True)
 
     def _repair(self, a: int, b: int) -> None:
-        new_rate = None
+        """Release the fault's claim: the link lights unless a
+        controller still claims it dark (then the record's
+        ``new_rate`` is ``None``)."""
         for src, dst in ((a, b), (b, a)):
             channel = self.network.switch_channel(src, dst)
-            channel.failed = False
-            if channel.is_off:
-                channel.power_on(reactivation_ns=1000.0)
-            else:
-                channel.draining = False
-            new_rate = channel.rate_gbps
+            channel.release(FAULT_OWNER, REPAIR_REACTIVATION_NS)
+            new_rate = channel.rate_gbps if channel.usable else None
         self.repairs_applied += 1
         self._log_fault("fault_repair", a, b, old_rate=None,
                         new_rate=new_rate)
@@ -332,13 +331,10 @@ class LinkFaultInjector:
 
     @property
     def active_faults(self) -> int:
-        """Links currently down."""
-        count = 0
-        for record in self.records:
-            a, b = record.link
-            if self.network.switch_channel(a, b).is_off:
-                count += 1
-        return count
+        """Links currently failed, powered off yet or still draining."""
+        return len({record.link for record in self.records
+                    if FAULT_OWNER in self.network.switch_channel(
+                        *record.link).claims})
 
     def digest(self) -> Dict[str, object]:
         """Deterministic, JSON-safe campaign summary.

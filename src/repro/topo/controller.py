@@ -226,8 +226,7 @@ class DemandAwareTopologyController(LinkGatingController):
         """Forecast demand touching ``switch`` over its lit capacity."""
         lit = sum(1 for group in self._candidates()
                   if switch in self._endpoints[group.name]
-                  and group.name not in self._dark
-                  and not self._fault_dark(group))
+                  and all(ch.usable for ch in group.channels))
         capacity = max(lit, 1) * ladder.max_rate
         return self.demand.group_pressure(switch) / capacity
 
@@ -236,7 +235,7 @@ class DemandAwareTopologyController(LinkGatingController):
                        * len(self._candidates()))
         for group in self._candidates():
             name = group.name
-            if name in self._dark or self._fault_dark(group):
+            if not all(ch.usable for ch in group.channels):
                 continue
             a, b = self._endpoints[name]
             demand = self.demand.pair_forecast(a, b)
@@ -274,15 +273,17 @@ class DemandAwareTopologyController(LinkGatingController):
         self._log_power_event(group, TOPOLOGY_OFF, old_rate=old_rate,
                               new_rate=None, forecast=forecast)
 
-    def _wake(self, group, ladder) -> None:
-        super()._wake(group, ladder)
+    def _wake(self, group, ladder) -> bool:
+        lit = super()._wake(group, ladder)
         self._dwell[group.name] = 0
-        self.topology_ons += 1
-        self.reactivation_waits += 1
-        self.reactivation_wait_ns += self.config.reactivation_ns
-        self._log_power_event(group, TOPOLOGY_ON, old_rate=None,
-                              new_rate=ladder.min_rate,
-                              reactivation_ns=self.config.reactivation_ns)
+        if lit:
+            self.topology_ons += 1
+            self.reactivation_waits += 1
+            self.reactivation_wait_ns += self.config.reactivation_ns
+            self._log_power_event(group, TOPOLOGY_ON, old_rate=None,
+                                  new_rate=ladder.min_rate,
+                                  reactivation_ns=self.config.reactivation_ns)
+        return lit
 
     # -- reporting ------------------------------------------------------
 

@@ -307,7 +307,8 @@ class TestDraining:
         channel, sink = make_channel(sim)
         channel.enqueue(packet(1000))
         channel.enqueue(packet(1000))
-        channel.draining = True
+        channel.claim_off("test")
+        assert channel.draining
         assert not channel.can_enqueue(10)
         assert not channel.usable
         sim.run()
@@ -318,7 +319,56 @@ class TestDraining:
         sim = Simulator()
         channel, _ = make_channel(sim)
         channel.enqueue(packet(1000))
-        channel.draining = True
+        channel.claim_off("test")
         sim.run()
-        channel.power_off()
+        assert channel.finish_drain()
+        assert channel.is_off
+
+
+class TestOffClaims:
+    def test_claim_on_idle_channel_powers_off_at_once(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.claim_off("a")
+        assert channel.is_off
+        assert channel.claims == {"a"}
+
+    def test_busy_channel_drains_until_finish_drain(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.enqueue(packet(1000))
+        channel.claim_off("a")
+        assert not channel.finish_drain()      # still serializing
+        sim.run()
+        assert channel.draining                # nobody finished it yet
+        assert channel.finish_drain()
+        assert not channel.draining
+
+    def test_only_the_last_release_lights_the_channel(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.claim_off("fault")
+        channel.claim_off("gate")
+        assert channel.release("fault", 100.0) is False
+        assert channel.is_off
+        assert channel.release("gate", 100.0, rate_gbps=2.5) is True
+        assert channel.state is ChannelState.REACTIVATING
+        assert channel.rate_gbps == 2.5
+        assert channel.stats.reactivations == 1
+
+    def test_release_cancels_a_drain_without_reactivation(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        channel.enqueue(packet(1000))
+        channel.claim_off("a")
+        assert channel.release("a", 100.0) is True
+        assert channel.usable
+        assert channel.stats.reactivations == 0
+
+    def test_release_of_an_unheld_claim_is_a_no_op(self):
+        sim = Simulator()
+        channel, _ = make_channel(sim)
+        assert channel.release("a", 100.0) is False
+        channel.claim_off("b")
+        assert channel.release("a", 100.0) is False
         assert channel.is_off

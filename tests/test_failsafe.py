@@ -69,7 +69,7 @@ class FakeChannel:
         self.name = name
         self._pending_rate = None
         self.is_off = False
-        self.draining = False
+        self.claims = frozenset()
 
 
 class FakeRaw:
@@ -162,7 +162,7 @@ class TestStalenessVeto:
         gg = ctrl.groups[0]
         gg.set_rate(10.0, 1000.0)
         for ch in gg.raw.channels:
-            ch.power_off()
+            ch.claim_off(ctrl.name)
         gg._inner.delivered_ok = False
         gg._inner.lost_streak = 1
         guard._tend(gg, epoch=1, down=False)
@@ -184,7 +184,7 @@ class TestDeadmanWatchdog:
         ctrl.stop()
         gg = ctrl.groups[0]
         for ch in gg.raw.channels:
-            ch.power_off()
+            ch.claim_off(ctrl.name)
         net.run(until_ns=100.0 * US)
         assert not gg.raw.is_off
         assert gg.raw.current_rate == guard.floor
@@ -214,7 +214,7 @@ class TestDeadmanWatchdog:
             chaos_scenario=dropout_scenario(0.0))
         gg = ctrl.groups[0]
         for ch in gg.raw.channels:
-            ch.power_off()
+            ch.claim_off(ctrl.name)
         gg._inner.lost_streak = guard.config.staleness_ttl_epochs + 1
         guard._tend(gg, epoch=9, down=False)
         net.run(until_ns=5_000.0)
@@ -357,7 +357,7 @@ class TestCrashRecovery:
         net, ctrl, _, guard = make_guarded(log=log)
         gg = ctrl.groups[0]
         for ch in gg.raw.channels:
-            ch.power_off()
+            ch.claim_off(ctrl.name)
         self.record(log, GATED_OFF, group=gg.name, t=50.0)
         self.record(log, CONTROL_FAULT_RESTART, t=80.0)
         guard._maybe_recover(gg, gg.raw, gg._st)
@@ -366,6 +366,29 @@ class TestCrashRecovery:
         assert guard.recoveries == 1
         assert log.reason_counts[FAILSAFE_RECOVERED] == 1
 
+    def test_failed_pre_crash_gated_group_waits_for_its_repair(self):
+        log = DecisionLog()
+        net, ctrl, _, guard = make_guarded(log=log)
+        link = net.switch_channel(0, 1)
+        gg = next(g for g in ctrl.groups if link in g.raw.channels)
+        for ch in gg.raw.channels:
+            ch.claim_off(ctrl.name)
+        self.record(log, GATED_OFF, group=gg.name, t=50.0)
+        self.record(log, CONTROL_FAULT_RESTART, t=80.0)
+        injector = LinkFaultInjector(net)
+        injector.fail_link(100.0, 0, 1)
+        net.run(until_ns=200.0)
+        # Releasing the controller's claim would light nothing yet.
+        guard._maybe_recover(gg, gg.raw, gg._st)
+        assert guard.recoveries == 0
+        assert FAILSAFE_RECOVERED not in log.reason_counts
+        injector._repair(0, 1)
+        assert gg.raw.is_off                   # still the controller's
+        guard._maybe_recover(gg, gg.raw, gg._st)
+        net.run(until_ns=5_000.0)
+        assert not gg.raw.is_off
+        assert guard.recoveries == 1
+
     def test_group_gated_by_the_current_controller_is_left_alone(self):
         # Gated *after* the restart: the live controller owns it and
         # will probe it awake itself.
@@ -373,7 +396,7 @@ class TestCrashRecovery:
         _, ctrl, _, guard = make_guarded(log=log)
         gg = ctrl.groups[0]
         for ch in gg.raw.channels:
-            ch.power_off()
+            ch.claim_off(ctrl.name)
         self.record(log, CONTROL_FAULT_RESTART, t=80.0)
         self.record(log, GATED_OFF, group=gg.name, t=90.0)
         guard._maybe_recover(gg, gg.raw, gg._st)
@@ -385,7 +408,7 @@ class TestCrashRecovery:
         _, ctrl, _, guard = make_guarded(log=log)
         gg = ctrl.groups[0]
         for ch in gg.raw.channels:
-            ch.power_off()
+            ch.claim_off(ctrl.name)
         self.record(log, GATED_OFF, group=gg.name, t=50.0)
         guard._maybe_recover(gg, gg.raw, gg._st)
         assert gg.raw.is_off

@@ -5,6 +5,7 @@ import pytest
 from repro.core.controller import ControllerConfig, EpochController
 from repro.core.policies import DemandLadderPolicy
 from repro.faults.policy import FaultAwareEpochController, GatingConfig
+from repro.obs.decisions import GATED_WAKE, TOPOLOGY_ON, DecisionLog
 from repro.routing.restricted import RestrictedAdaptiveRouting
 from repro.sim.faults import LinkFaultInjector
 from repro.sim.network import FbflyNetwork, NetworkConfig
@@ -96,17 +97,19 @@ def hosts_on_switch(net, switch_id):
             if net.topology.host_switch(h) == switch_id]
 
 
-def _gated(net, config):
+def _gated(net, config, decision_log=None):
     # Probes a gated link awake five epochs after it sleeps.
     return FaultAwareEpochController(
         net, policy=DemandLadderPolicy(0.5), config=config,
-        gating=GatingConfig(idle_epochs=2, sleep_epochs=5))
+        gating=GatingConfig(idle_epochs=2, sleep_epochs=5),
+        decision_log=decision_log)
 
 
-def _demand_topo(net, config):
+def _demand_topo(net, config, decision_log=None):
     # Wakes a dark link once its endpoints' demand returns.
     return DemandAwareTopologyController(
-        net, policy=DemandLadderPolicy(0.5), config=config)
+        net, policy=DemandLadderPolicy(0.5), config=config,
+        decision_log=decision_log)
 
 
 class TestFailureWhileDark:
@@ -142,6 +145,114 @@ class TestFailureWhileDark:
         group = next(g for g in controller._candidates()
                      if controller._endpoints[g.name] == (0, 2))
         assert controller._fault_dark(group)
+
+
+def _gated_long_sleep(net, config, decision_log=None):
+    # Sleeps 20 epochs: the probe comes after a 5 us repair.
+    return FaultAwareEpochController(
+        net, policy=DemandLadderPolicy(0.5), config=config,
+        gating=GatingConfig(idle_epochs=2, sleep_epochs=20),
+        decision_log=decision_log)
+
+
+def _wake_counters(controller):
+    if isinstance(controller, DemandAwareTopologyController):
+        summary = controller.topo_summary()
+        return (summary["topology_ons"], summary["reactivation_waits"])
+    return (controller.gated_wakes,)
+
+
+def _burst_between(net, a, b, start_ns):
+    left, right = hosts_on_switch(net, a), hosts_on_switch(net, b)
+    for i in range(200):
+        t = start_ns + i * 200.0
+        net.submit(t, src=left[i % 4], dst=right[i % 4], size_bytes=4096)
+        net.submit(t, src=right[i % 4], dst=left[i % 4], size_bytes=4096)
+
+
+class TestPowerClaimsWhileDark:
+    """A fault and a controller each hold their own off-claim on a
+    dark link: releasing one leaves the other in force."""
+
+    @pytest.mark.parametrize(
+        "build", [_gated_long_sleep, _demand_topo],
+        ids=["fault_gated", "demand_topo"])
+    def test_repair_while_dark_keeps_the_controllers_claim(self, build):
+        net = make_network()
+        log = DecisionLog()
+        controller = build(net, ControllerConfig(epoch_ns=1_000.0,
+                                                 reactivation_ns=100.0),
+                           decision_log=log)
+        injector = LinkFaultInjector(net, decision_log=log)
+        net.run(until_ns=10_000.0)   # idle: the express link goes dark
+        fwd, rev = net.switch_channel(0, 2), net.switch_channel(2, 0)
+        assert fwd.is_off and rev.is_off
+        injector.fail_link(10_500.0, 0, 2, repair_after_ns=5_000.0)
+        net.run(until_ns=20_000.0)
+        # Repaired, but still the controller's: dark, unaccounted as a
+        # fault, and no wake yet.
+        assert injector.repairs_applied == 1
+        assert injector.active_faults == 0
+        assert fwd.is_off and rev.is_off
+        assert fwd.claims == rev.claims == {controller.name}
+        group = next(g for g in controller._candidates()
+                     if controller._endpoints[g.name] == (0, 2))
+        assert group.name in controller._dark
+        assert not controller._fault_dark(group)
+        wakes = [d for d in log.records
+                 if d.group == group.name
+                 and d.reason in (GATED_WAKE, TOPOLOGY_ON)]
+        assert all(d.time_ns < 10_500.0 for d in wakes)
+        repair = next(d for d in log.records if d.reason == "fault_repair")
+        assert repair.new_rate is None           # the link stayed dark
+        # The controller's own next wake lights it, with a record.
+        sent = fwd.stats.bytes_sent + rev.stats.bytes_sent
+        _burst_between(net, 0, 2, 20_000.0)
+        net.run(until_ns=100_000.0)
+        woken = [d.time_ns for d in log.records
+                 if d.group == group.name
+                 and d.reason in (GATED_WAKE, TOPOLOGY_ON)
+                 and d.time_ns > 15_500.0]
+        assert woken
+        assert fwd.stats.bytes_sent + rev.stats.bytes_sent > sent
+
+    @pytest.mark.parametrize("build", [_gated, _demand_topo],
+                             ids=["fault_gated", "demand_topo"])
+    def test_wake_on_a_failed_link_is_neither_logged_nor_counted(
+            self, build):
+        net = make_network()
+        log = DecisionLog()
+        controller = build(net, ControllerConfig(epoch_ns=1_000.0,
+                                                 reactivation_ns=100.0),
+                           decision_log=log)
+        injector = LinkFaultInjector(net)
+        net.run(until_ns=10_000.0)
+        injector.fail_link(10_500.0, 0, 2)   # permanent
+        _burst_between(net, 0, 2, 11_000.0)
+        net.run(until_ns=100_000.0)
+        group = next(g for g in controller._candidates()
+                     if controller._endpoints[g.name] == (0, 2))
+        reason = (TOPOLOGY_ON
+                  if isinstance(controller, DemandAwareTopologyController)
+                  else GATED_WAKE)
+        assert not [d for d in log.records
+                    if d.group == group.name and d.reason == reason
+                    and d.time_ns > 10_500.0]
+        # Every counted wake is one logged (and lit) elsewhere.
+        logged = sum(1 for d in log.records if d.reason == reason)
+        assert set(_wake_counters(controller)) == {logged}
+        assert net.switch_channel(0, 2).is_off
+
+    def test_repaired_link_gated_dark_is_not_an_active_fault(self):
+        net = make_network()
+        _gated_long_sleep(net, ControllerConfig(epoch_ns=1_000.0,
+                                                reactivation_ns=100.0))
+        injector = LinkFaultInjector(net)
+        injector.fail_link(500.0, 0, 2, repair_after_ns=300.0)
+        net.run(until_ns=5_000.0)
+        assert injector.repairs_applied == 1
+        assert net.switch_channel(0, 2).is_off   # gated, not failed
+        assert injector.active_faults == 0
 
 
 class TestSimultaneousChipAndLinkFaults:
@@ -223,6 +334,30 @@ class TestSimultaneousChipAndLinkFaults:
         assert injector.partitions == []
 
 
+class TestRestrictedRoutingLivelock:
+    """Known liveness defect (ROADMAP item 1), pinned so a fix shows.
+
+    With links 0-2 and 2-3 down the fabric stays connected (0-1-2), but
+    restricted routing sends a packet from switch 0 to switch 2 on the
+    0->3 ring step, and from 3 the only live step leads back to 0: the
+    packet circles forever, neither delivered nor dropped.
+    """
+
+    @pytest.mark.xfail(strict=True,
+                       reason="restricted routing circles 0<->3 forever")
+    def test_packet_around_two_faults_is_delivered_or_dropped(self):
+        net = make_network()
+        injector = LinkFaultInjector(net)
+        injector.fail_link(0.0, 0, 2)
+        injector.fail_link(0.0, 2, 3)
+        net.submit(1_000.0, src=hosts_on_switch(net, 0)[0],
+                   dst=hosts_on_switch(net, 2)[0], size_bytes=1024)
+        net.run(until_ns=200_000.0)
+        stats = net.stats
+        assert injector.partitions == []
+        assert stats.messages_delivered + stats.messages_dropped == 1
+
+
 class TestRepairRacesDeferredPowerOff:
     """Repairs landing while ``_defer_power_off`` is still polling."""
 
@@ -272,6 +407,7 @@ class TestRepairRacesDeferredPowerOff:
         assert record.power_off_timeout is True
         assert not ch.is_off
         assert ch.draining
+        assert injector.active_faults == 1
 
     def test_repair_after_timeout_restores_the_draining_channel(self):
         net = self.make_busy_network()

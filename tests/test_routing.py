@@ -58,7 +58,7 @@ class TestMinimalAdaptive:
         topo = net.topology
         dst_switch = topo.switch_index((1, 1))
         dst_host = list(topo.hosts_of_switch(dst_switch))[0]
-        net.switch_channel(0, topo.switch_index((1, 0))).draining = True
+        net.switch_channel(0, topo.switch_index((1, 0))).claim_off("test")
         candidates = routing(net.switches[0], packet_for(net, 0, dst_host))
         assert len(candidates) == 1
 
